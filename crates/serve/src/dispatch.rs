@@ -12,6 +12,16 @@
 //! throughput — so a fleet can mix device generations instead of cloning
 //! one configuration N times.
 //!
+//! # Running a fleet
+//!
+//! Fleet runs go through one fallible entry point, [`ServeSim::run_spec`].
+//! A [`RunSpec`] names the fleet's profiles, its router (a built-in
+//! [`DispatchPolicy`] or a custom [`Router`]), and whether to record a
+//! [`RunTrace`]. The call rejects an invalid fleet or workload with a
+//! typed [`ServeConfigError`] and returns a [`RunOutcome`].
+//! [`ServeSim::run`] is the one-device convenience over the same drive
+//! loop.
+//!
 //! # The router
 //!
 //! A [`Router`] sees one [`DeviceView`] per device — queued tokens, pool
@@ -31,8 +41,7 @@
 //!   (its KV can be reused, so only the unshared suffix prefills), and
 //!   falls back to weighted JSQ when no device holds the prefix.
 //!
-//! Custom routers plug in through
-//! [`ServeSim::run_fleet_with_router`](crate::ServeSim::run_fleet_with_router).
+//! Custom routers plug in through [`RunSpec::routed`].
 //!
 //! # The drive loop
 //!
@@ -97,58 +106,60 @@
 //!
 //! # The parallel fleet drive
 //!
-//! With [`ServeConfig::fleet_workers`](crate::ServeConfig::fleet_workers)
-//! set to two or more, the inter-dispatch device stepping runs on a pool
-//! of scoped worker threads (`crate::parallel`) instead of one step at a
-//! time — bit-exact with the sequential loop, which remains the
-//! reference path.
+//! The drive loop has one dispatch fixpoint and one advance site, where a
+//! small `Advance` enum picks how busy devices move forward. By default
+//! it steps the busy device with the earliest clock once. With
+//! [`ServeConfig::fleet_workers`](crate::ServeConfig::fleet_workers) set
+//! to two or more, it instead drives every busy device up to the next
+//! dispatch point at once, on a pool of scoped worker threads
+//! (`crate::parallel`), whenever no cross-device coupling is live; while
+//! one is, it steps one device at a time exactly like the default. All
+//! other code is shared, and the two modes are bit-exact.
 //!
 //! **Why devices are independent between dispatch points.** Let `H` be
 //! the arrival cycle of the earliest pending (finite) arrival. The
 //! dispatch gate only opens once the *minimum* clock among busy devices
 //! reaches `H`, so until every busy device's clock crosses `H` no new
 //! request enters the fleet, and the router observes nothing. In that
-//! window the sequential loop interleaves `step`/`admit` across devices
+//! window the one-step mode interleaves `step`/`admit` across devices
 //! (earliest clock first), but a device's queue, pool, and clock change
 //! only through its *own* steps and admissions — the interleaved
 //! admission passes on other devices are no-ops. Each busy device with
 //! clock below `H` therefore executes exactly the subsequence of
-//! operations the sequential loop would give it: `step` then `admit`,
-//! repeated while it has active work and its clock is below `H`. The
-//! parallel drive runs those per-device subsequences concurrently (one
-//! *phase* per dispatch point), then re-runs the dispatch fixpoint
-//! exactly as the sequential loop does. Closed-loop runs serialize while
-//! unreleased population slots remain — there a completion anywhere
-//! feeds the global dispatcher — and parallelize the drain tail, where
-//! releases are no-ops.
+//! operations the one-step mode would give it: `step` then `admit`,
+//! repeated while it has active work and its clock is below `H`. A
+//! parallel *phase* runs those per-device subsequences concurrently, then
+//! the loop re-runs the dispatch fixpoint. Closed-loop runs step one
+//! device at a time while unreleased population slots remain — there a
+//! completion anywhere feeds the global dispatcher — and parallelize the
+//! drain tail, where releases are no-ops.
 //!
 //! **Why handoffs do not break the independence argument.** A handoff is
 //! cross-device coupling the horizon cannot see: a `Prefill`-role device
 //! finishing a prompt mid-phase would hand the continuation to another
-//! device *before* `H`. The parallel drive therefore serializes —
-//! earliest clock first, exactly like the sequential loop — whenever any
-//! `Prefill`-role device holds active work, so every handoff is produced,
-//! routed, and booked in sequential order. Once no `Prefill`-role device
-//! is busy, no new handoff can appear before the next dispatch point
-//! (only `Prefill`-role devices extract handoffs, and an idle device is
-//! not stepped mid-phase), and handoffs already *routed* are local state
-//! of their destination — a fixed arrival instant admitted by that
-//! device's own `admit`, no different from a queued arrival — so the
-//! phase argument above applies unchanged. In the common disaggregated
-//! regime the prefill pool drains prompts in bursts and the long decode
-//! tail dominates; the decode pool still parallelizes across workers.
+//! device *before* `H`. The pool mode therefore steps one device at a
+//! time — earliest clock first — whenever any `Prefill`-role device holds
+//! active work, so every handoff is produced, routed, and booked in the
+//! one-step order. Once no `Prefill`-role device is busy, no new handoff
+//! can appear before the next dispatch point (only `Prefill`-role devices
+//! extract handoffs, and an idle device is not stepped mid-phase), and
+//! handoffs already *routed* are local state of their destination — a
+//! fixed arrival instant admitted by that device's own `admit`, no
+//! different from a queued arrival — so the phase argument above applies
+//! unchanged. In the common disaggregated regime the prefill pool drains
+//! prompts in bursts and the long decode tail dominates; the decode pool
+//! still parallelizes across workers.
 //!
 //! **Why the merge is deterministic.** Per-device end states are
 //! identical by the argument above, and every fleet aggregate is either
 //! accumulated in device index order, computed by an order-independent
 //! sweep (the fleet peak concurrency), or sorted by an explicit total
 //! order (the trace timeline's `(cycle, device, kind, seq)` key — see
-//! [`TraceEvent::order_key`]). The parallel drive's [`ServeReport`] and
-//! [`RunTrace`] are asserted bit-equal to the sequential reference
-//! across policies, heterogeneous fleets, preemption, and prefix reuse.
+//! [`TraceEvent::order_key`]). The pool mode's [`ServeReport`] and
+//! [`RunTrace`] are asserted bit-equal to the one-step mode's across
+//! policies, heterogeneous fleets, preemption, and prefix reuse.
 
 use std::collections::VecDeque;
-use std::sync::Mutex;
 
 use crate::arrival::Workload;
 use crate::parallel::PhaseQueue;
@@ -168,7 +179,7 @@ use crate::CLOCK_HZ;
 /// All policies are deterministic; ties break toward the lowest device
 /// index. Each policy is a ready-made [`Router`] (see
 /// [`DispatchPolicy::router`]); custom routing plugs in through
-/// [`ServeSim::run_fleet_with_router`].
+/// [`RunSpec::routed`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DispatchPolicy {
     /// Cycle through devices in index order, ignoring load — the
@@ -378,12 +389,80 @@ impl Router for PolicyRouter {
     }
 }
 
+/// The router a [`RunSpec`] spreads arrivals with.
+enum Routing<'r> {
+    /// A fresh router for a built-in policy.
+    Policy(DispatchPolicy),
+    /// A caller-owned custom router.
+    Custom(&'r mut dyn Router),
+}
+
+/// What one serving run drives besides its workload and schedulers: the
+/// fleet's per-device [`DeviceProfile`]s, the router that spreads
+/// arrivals over them, and whether to record a [`RunTrace`]. Hand it to
+/// [`ServeSim::run_spec`].
+pub struct RunSpec<'r, 'a> {
+    profiles: Vec<DeviceProfile<'a>>,
+    routing: Routing<'r>,
+    trace: bool,
+}
+
+impl<'r, 'a> RunSpec<'r, 'a> {
+    /// A fleet of the given profiles under a built-in dispatch policy.
+    #[must_use]
+    pub fn fleet(profiles: &[DeviceProfile<'a>], policy: DispatchPolicy) -> Self {
+        RunSpec {
+            profiles: profiles.to_vec(),
+            routing: Routing::Policy(policy),
+            trace: false,
+        }
+    }
+
+    /// `devices` identical [`DeviceProfile::uniform`] devices under a
+    /// built-in dispatch policy — the classic uniform fleet.
+    #[must_use]
+    pub fn uniform(devices: usize, policy: DispatchPolicy) -> Self {
+        RunSpec {
+            profiles: vec![DeviceProfile::uniform(); devices],
+            routing: Routing::Policy(policy),
+            trace: false,
+        }
+    }
+
+    /// A fleet of the given profiles under a custom [`Router`].
+    #[must_use]
+    pub fn routed(profiles: &[DeviceProfile<'a>], router: &'r mut dyn Router) -> Self {
+        RunSpec {
+            profiles: profiles.to_vec(),
+            routing: Routing::Custom(router),
+            trace: false,
+        }
+    }
+
+    /// The same run, additionally recording its [`RunTrace`]. Recording
+    /// only observes: the report is bit-exact with the untraced run's.
+    #[must_use]
+    pub fn traced(mut self) -> Self {
+        self.trace = true;
+        self
+    }
+}
+
+/// What [`ServeSim::run_spec`] returns: the merged report, plus the
+/// recorded history when the [`RunSpec`] asked for one.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunOutcome {
+    /// The merged report, with one [`DeviceReport`] lane per device.
+    pub report: ServeReport,
+    /// The run's recorded history: `Some` exactly when the spec was
+    /// [`RunSpec::traced`].
+    pub trace: Option<RunTrace>,
+}
+
 impl<'a> ServeSim<'a> {
-    /// Runs one workload across `devices` identical devices under the
-    /// given dispatch policy — the classic uniform fleet, equivalent to
-    /// [`ServeSim::run_fleet_profiles`] with `devices` copies of
-    /// [`DeviceProfile::uniform`]. Every device gets its own KV pool
-    /// (budgeted per
+    /// Runs one workload on the fleet a [`RunSpec`] describes — the one
+    /// fallible entry point behind every fleet, custom-routed, and traced
+    /// run. Every device gets its own KV pool (its profile's budget, else
     /// [`ServeConfig::kv_budget_bytes`](crate::ServeConfig::kv_budget_bytes)),
     /// its own scheduler from `make_scheduler`, and its own clock; the
     /// merged [`ServeReport`] carries a per-device breakdown in
@@ -392,7 +471,7 @@ impl<'a> ServeSim<'a> {
     /// ```
     /// use mcbp_model::LlmConfig;
     /// use mcbp_serve::{
-    ///     ArrivalProcess, ContinuousBatchScheduler, DispatchPolicy, LoadGenerator,
+    ///     ArrivalProcess, ContinuousBatchScheduler, DispatchPolicy, LoadGenerator, RunSpec,
     ///     ServeConfig, ServeSim,
     /// };
     /// use mcbp_sim::{McbpConfig, McbpSim};
@@ -410,41 +489,67 @@ impl<'a> ServeSim<'a> {
     /// let workload = LoadGenerator::uniform(
     ///     Task::cola(), 6, ArrivalProcess::ClosedLoop { concurrency: 6 },
     /// ).generate();
-    /// let report = sim.run_fleet(
-    ///     &workload, 2, DispatchPolicy::JoinShortestQueue,
-    ///     &mut || Box::new(ContinuousBatchScheduler::new()),
-    /// );
-    /// assert_eq!(report.completed, 6);
-    /// assert_eq!(report.devices.len(), 2);
-    /// let dispatched: usize = report.devices.iter().map(|d| d.dispatched).sum();
+    /// let out = sim
+    ///     .run_spec(
+    ///         &workload,
+    ///         RunSpec::uniform(2, DispatchPolicy::JoinShortestQueue).traced(),
+    ///         &mut || Box::new(ContinuousBatchScheduler::new()),
+    ///     )
+    ///     .expect("a valid fleet and workload");
+    /// assert_eq!(out.report.completed, 6);
+    /// assert_eq!(out.report.devices.len(), 2);
+    /// let dispatched: usize = out.report.devices.iter().map(|d| d.dispatched).sum();
     /// assert_eq!(dispatched, 6);
+    /// assert_eq!(out.trace.expect("traced run").devices, 2);
     /// ```
     ///
+    /// # Errors
+    ///
+    /// Returns the first [`ServeConfigError`] the fleet violates (see
+    /// [`DeviceProfile::validate_fleet`]), else the first the workload
+    /// violates (see [`ServeSim::validate_workload`]).
+    ///
     /// # Panics
     ///
-    /// Panics on a zero device count, an invalid workload, internal
-    /// accounting violations, or a scheduler contract violation.
-    #[must_use]
-    pub fn run_fleet(
+    /// Panics on internal accounting violations or a scheduler or router
+    /// contract violation.
+    pub fn run_spec(
         &self,
         workload: &Workload,
-        devices: usize,
-        policy: DispatchPolicy,
+        spec: RunSpec<'_, 'a>,
         make_scheduler: &mut dyn FnMut() -> Box<dyn Scheduler>,
-    ) -> ServeReport {
-        let profiles = vec![DeviceProfile::uniform(); devices];
-        self.run_fleet_profiles(workload, &profiles, policy, make_scheduler)
+    ) -> Result<RunOutcome, ServeConfigError> {
+        DeviceProfile::validate_fleet(&spec.profiles)?;
+        ServeSim::validate_workload(workload)?;
+        let mut scheds: Vec<Box<dyn Scheduler>> =
+            spec.profiles.iter().map(|_| make_scheduler()).collect();
+        let mut refs: Vec<&mut dyn Scheduler> =
+            scheds.iter_mut().map(|s| s.as_mut() as _).collect();
+        let mut policy_router;
+        let router: &mut dyn Router = match spec.routing {
+            Routing::Policy(policy) => {
+                policy_router = policy.router();
+                &mut policy_router
+            }
+            Routing::Custom(router) => router,
+        };
+        let (report, trace) = drive(
+            self,
+            workload,
+            &mut refs,
+            &spec.profiles,
+            router,
+            spec.trace,
+        );
+        Ok(RunOutcome { report, trace })
     }
 
-    /// Runs one workload across a fleet described by per-device
-    /// [`DeviceProfile`]s under a built-in dispatch policy. A fleet of
-    /// [`DeviceProfile::uniform`] profiles is bit-exact with
-    /// [`ServeSim::run_fleet`].
+    /// Runs one workload across a profiled fleet under a built-in
+    /// dispatch policy: [`ServeSim::run_spec`] with [`RunSpec::fleet`].
     ///
     /// # Panics
     ///
-    /// Panics where [`ServeSim::try_run_fleet_profiles`] would return an
-    /// error, and on internal accounting or scheduler contract violations.
+    /// Panics where [`ServeSim::run_spec`] would return an error or panic.
     #[must_use]
     pub fn run_fleet_profiles(
         &self,
@@ -453,36 +558,15 @@ impl<'a> ServeSim<'a> {
         policy: DispatchPolicy,
         make_scheduler: &mut dyn FnMut() -> Box<dyn Scheduler>,
     ) -> ServeReport {
-        match self.try_run_fleet_profiles(workload, profiles, policy, make_scheduler) {
-            Ok(report) => report,
-            Err(e) => panic!("invalid fleet run: {e}"),
-        }
+        self.run_spec(workload, RunSpec::fleet(profiles, policy), make_scheduler)
+            .unwrap_or_else(|e| panic!("invalid fleet run: {e}"))
+            .report
     }
 
-    /// Like [`ServeSim::run_fleet_profiles`], but rejects an invalid
-    /// fleet or workload with a typed error instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeConfigError::EmptyFleet`],
-    /// [`ServeConfigError::ZeroThroughputProfile`], or
-    /// [`ServeConfigError::PrefixExceedsPrompt`].
-    pub fn try_run_fleet_profiles(
-        &self,
-        workload: &Workload,
-        profiles: &[DeviceProfile<'a>],
-        policy: DispatchPolicy,
-        make_scheduler: &mut dyn FnMut() -> Box<dyn Scheduler>,
-    ) -> Result<ServeReport, ServeConfigError> {
-        let mut router = policy.router();
-        self.try_run_fleet_with_router(workload, profiles, &mut router, make_scheduler)
-    }
-
-    /// Like [`ServeSim::run_fleet_profiles`], but additionally records
-    /// the fleet run's full arrival/admission/schedule/preemption history
-    /// (see [`crate::RunTrace`]). The traced run is bit-exact with the
-    /// untraced one, and replaying the returned trace's workload under
-    /// the same fleet/policy/scheduler reproduces the report bit-exactly.
+    /// Like [`ServeSim::run_fleet_profiles`], but also records the run's
+    /// [`RunTrace`] ([`RunSpec::traced`]). Replaying the trace's workload
+    /// under the same fleet, policy, and scheduler reproduces the report
+    /// bit-exactly.
     ///
     /// # Panics
     ///
@@ -495,80 +579,14 @@ impl<'a> ServeSim<'a> {
         policy: DispatchPolicy,
         make_scheduler: &mut dyn FnMut() -> Box<dyn Scheduler>,
     ) -> (ServeReport, RunTrace) {
-        match self.try_run_fleet_profiles_traced(workload, profiles, policy, make_scheduler) {
-            Ok(out) => out,
-            Err(e) => panic!("invalid fleet run: {e}"),
-        }
-    }
-
-    /// Like [`ServeSim::run_fleet_profiles_traced`], but rejects an
-    /// invalid fleet or workload with a typed error instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// Returns the errors [`ServeSim::try_run_fleet_profiles`] would.
-    pub fn try_run_fleet_profiles_traced(
-        &self,
-        workload: &Workload,
-        profiles: &[DeviceProfile<'a>],
-        policy: DispatchPolicy,
-        make_scheduler: &mut dyn FnMut() -> Box<dyn Scheduler>,
-    ) -> Result<(ServeReport, RunTrace), ServeConfigError> {
-        DeviceProfile::validate_fleet(profiles)?;
-        ServeSim::validate_workload(workload)?;
-        let mut router = policy.router();
-        let mut scheds: Vec<Box<dyn Scheduler>> =
-            (0..profiles.len()).map(|_| make_scheduler()).collect();
-        let mut refs: Vec<&mut dyn Scheduler> =
-            scheds.iter_mut().map(|s| s.as_mut() as _).collect();
-        let (report, trace) = drive(self, workload, &mut refs, profiles, &mut router, true);
-        Ok((report, trace.expect("tracing was requested")))
-    }
-
-    /// Runs one workload across a profiled fleet under a **custom**
-    /// [`Router`].
-    ///
-    /// # Panics
-    ///
-    /// Panics where [`ServeSim::try_run_fleet_with_router`] would return
-    /// an error, and on internal accounting or scheduler contract
-    /// violations.
-    #[must_use]
-    pub fn run_fleet_with_router(
-        &self,
-        workload: &Workload,
-        profiles: &[DeviceProfile<'a>],
-        router: &mut dyn Router,
-        make_scheduler: &mut dyn FnMut() -> Box<dyn Scheduler>,
-    ) -> ServeReport {
-        match self.try_run_fleet_with_router(workload, profiles, router, make_scheduler) {
-            Ok(report) => report,
-            Err(e) => panic!("invalid fleet run: {e}"),
-        }
-    }
-
-    /// Like [`ServeSim::run_fleet_with_router`], but rejects an invalid
-    /// fleet or workload with a typed error instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeConfigError::EmptyFleet`],
-    /// [`ServeConfigError::ZeroThroughputProfile`], or
-    /// [`ServeConfigError::PrefixExceedsPrompt`].
-    pub fn try_run_fleet_with_router(
-        &self,
-        workload: &Workload,
-        profiles: &[DeviceProfile<'a>],
-        router: &mut dyn Router,
-        make_scheduler: &mut dyn FnMut() -> Box<dyn Scheduler>,
-    ) -> Result<ServeReport, ServeConfigError> {
-        DeviceProfile::validate_fleet(profiles)?;
-        ServeSim::validate_workload(workload)?;
-        let mut scheds: Vec<Box<dyn Scheduler>> =
-            (0..profiles.len()).map(|_| make_scheduler()).collect();
-        let mut refs: Vec<&mut dyn Scheduler> =
-            scheds.iter_mut().map(|s| s.as_mut() as _).collect();
-        Ok(drive(self, workload, &mut refs, profiles, router, false).0)
+        let out = self
+            .run_spec(
+                workload,
+                RunSpec::fleet(profiles, policy).traced(),
+                make_scheduler,
+            )
+            .unwrap_or_else(|e| panic!("invalid fleet run: {e}"));
+        (out.report, out.trace.expect("tracing was requested"))
     }
 }
 
@@ -608,18 +626,10 @@ fn device_view(i: usize, d: &DeviceSim<'_, '_>) -> DeviceView {
     }
 }
 
-/// One [`DeviceView`] per device, as of each device's own clock.
-fn fleet_views(devs: &[DeviceSim<'_, '_>]) -> Vec<DeviceView> {
-    devs.iter()
-        .enumerate()
-        .map(|(i, d)| device_view(i, d))
-        .collect()
-}
-
 /// The fleet indices eligible for each routing stage, plus whether the
-/// fleet is role-specialized at all (when it is not, the drives use the
-/// exact single-stage code paths — bit-exactness with all-`Unified`
-/// fleets by construction).
+/// fleet is role-specialized at all. An all-`Unified` fleet routes every
+/// prompt over the whole fleet and never runs stage 2 (`Unified` devices
+/// never hand off) — bit-exactness with pre-role fleets by construction.
 struct StagePlan {
     prefill: Vec<usize>,
     decode: Vec<usize>,
@@ -678,52 +688,267 @@ fn route_among(
     set[pick]
 }
 
-/// Stage-2 routing: drains every device's finished prefills in device
-/// index order (then emission order), routes each over the
-/// decode-capable devices, books the transfer on the source's link and
-/// the destination's ledger, and logs the hop. Returns how many handoffs
-/// were routed (fixpoint progress).
-fn route_handoffs(
-    devs: &mut [&mut DeviceSim<'_, '_>],
-    router: &mut dyn Router,
-    decode_set: &[usize],
-    route_log: &mut Vec<TraceEvent>,
-    trace: bool,
-) -> usize {
-    let mut routed = 0;
-    for src in 0..devs.len() {
-        for h in devs[src].take_outbound() {
-            let target = route_among(router, &h.req, decode_set, |i| device_view(i, devs[i]));
-            let cycles = devs[src].handoff_transfer_cycles(h.bytes);
-            let arrival = h.ready_cycle + cycles;
-            devs[src].note_handoff_out(h.bytes, cycles);
-            if trace {
-                route_log.push(TraceEvent::Handoff {
-                    id: h.req.id,
-                    from: src as u32,
-                    to: target as u32,
-                    cycle: h.ready_cycle,
-                    arrival_cycle: arrival,
-                    bytes: h.bytes,
-                });
-            }
-            devs[target].receive_handoff(h, arrival);
-            routed += 1;
-        }
-    }
-    routed
+/// One fleet device and the scheduler planning its steps — the unit the
+/// drive loop steps and the worker pool moves between threads.
+struct Slot<'s, 'a, 'x> {
+    dev: DeviceSim<'s, 'a>,
+    sched: &'x mut dyn Scheduler,
 }
 
-/// The shared drive loop: one scheduler slice and one profile per device.
-/// With `trace` set, every device logs its admission/step/preemption
-/// events and the router's dispatch decisions are logged here; the merged
-/// history — ordered by the explicit `(cycle, device, kind, seq)` key —
-/// is returned as the [`RunTrace`]. Observation only: the simulated run
-/// itself is bit-exact with an untraced one.
-///
-/// This is the sequential reference path; with
+/// One parallel-phase job: a busy device's slot, its fleet index, and the
+/// horizon it runs up to.
+struct Job<'s, 'a, 'x> {
+    index: usize,
+    slot: Slot<'s, 'a, 'x>,
+    horizon: f64,
+}
+
+/// How the drive loop advances busy devices after each dispatch fixpoint
+/// — the one place the sequential and the parallel drive differ.
+enum Advance<'q, J> {
+    /// Step the busy device with the earliest clock once.
+    Sequential,
+    /// Run every busy device below the next dispatch horizon up to it on
+    /// the worker pool behind this queue; while a cross-device coupling
+    /// is live, step like [`Advance::Sequential`] instead.
+    Pool(&'q PhaseQueue<J>),
+}
+
+/// The drive loop's state: one slot per device, the global arrival
+/// queue, the routing plan, and the router's trace log.
+struct Drive<'s, 'a, 'x> {
+    slots: Vec<Slot<'s, 'a, 'x>>,
+    /// Undispatched requests, kept arrival-sorted (generated workloads
+    /// already are; sorting here makes hand-built ones safe too, and
+    /// closed-loop releases re-insert their entry at its sorted position).
+    pending: VecDeque<Request>,
+    plan: StagePlan,
+    closed: bool,
+    trace: bool,
+    /// Routing decisions of a traced run (stage-1 routes and handoffs).
+    route_log: Vec<TraceEvent>,
+}
+
+impl<'s, 'a, 'x> Drive<'s, 'a, 'x> {
+    fn new(
+        sim: &'s ServeSim<'a>,
+        workload: &Workload,
+        scheds: &'x mut [&mut dyn Scheduler],
+        profiles: &[DeviceProfile<'a>],
+        trace: bool,
+    ) -> Self {
+        let slots = profiles
+            .iter()
+            .zip(scheds.iter_mut())
+            .enumerate()
+            .map(|(i, (profile, sched))| {
+                let mut dev = DeviceSim::new(sim, profile);
+                dev.device = i as u32;
+                dev.log = trace.then(Vec::new);
+                Slot {
+                    dev,
+                    sched: &mut **sched,
+                }
+            })
+            .collect();
+        let mut pending: VecDeque<Request> = workload.requests.clone().into();
+        pending
+            .make_contiguous()
+            .sort_by(|a, b| a.arrival_cycle.total_cmp(&b.arrival_cycle));
+        Drive {
+            slots,
+            pending,
+            plan: StagePlan::new(profiles),
+            closed: workload.closed_loop.is_some(),
+            trace,
+            route_log: Vec::new(),
+        }
+    }
+
+    /// Drives the fleet until it drains: the dispatch fixpoint, then one
+    /// advance, repeated.
+    fn run(&mut self, router: &mut dyn Router, advance: Advance<'_, Job<'s, 'a, 'x>>) {
+        loop {
+            self.dispatch_fixpoint(router);
+            let advanced = match advance {
+                Advance::Pool(queue) if !self.coupled() => self.run_phase(queue),
+                _ => self.step_earliest(),
+            };
+            if !advanced {
+                break; // drained (closed-loop leftovers can never release)
+            }
+        }
+    }
+
+    /// Admission on every device, stage-2 routing of finished prefills,
+    /// and dispatch of every due arrival, repeated until nothing changes.
+    /// An arrival is due at or before the earliest busy device clock;
+    /// with the whole fleet idle the next arrival is due immediately (its
+    /// device fast-forwards to it).
+    fn dispatch_fixpoint(&mut self, router: &mut dyn Router) {
+        loop {
+            let mut progress = false;
+            for i in 0..self.slots.len() {
+                let drops = self.slots[i].dev.admit();
+                if drops > 0 {
+                    progress = true;
+                    let now = self.slots[i].dev.now;
+                    self.release(drops, now);
+                }
+            }
+            // Stage 2: route finished prefills onto decode devices (the
+            // admissions above and the advance step both produce them).
+            if self.plan.specialized && self.route_handoffs(router) {
+                progress = true;
+            }
+            while let Some(head) = self.pending.front() {
+                if !head.arrival_cycle.is_finite() {
+                    break;
+                }
+                let min_busy = self
+                    .slots
+                    .iter()
+                    .filter(|s| s.dev.has_active())
+                    .map(|s| s.dev.now)
+                    .min_by(f64::total_cmp);
+                if min_busy.is_some_and(|clock| head.arrival_cycle > clock) {
+                    break;
+                }
+                let req = self.pending.pop_front().expect("head exists");
+                // Stage 1: prompts route over the prefill-capable devices
+                // (the whole fleet unless it is role-specialized).
+                let target = route_among(router, &req, &self.plan.prefill, |i| {
+                    device_view(i, &self.slots[i].dev)
+                });
+                if self.trace {
+                    self.route_log.push(TraceEvent::Route {
+                        id: req.id,
+                        device: target as u32,
+                        cycle: req.arrival_cycle,
+                    });
+                }
+                let dev = &mut self.slots[target].dev;
+                dev.enqueue(req);
+                let drops = dev.admit();
+                let now = dev.now;
+                self.release(drops, now);
+                progress = true;
+            }
+            if !progress {
+                break;
+            }
+        }
+    }
+
+    /// Vacates `count` closed-loop population slots at `now` — a
+    /// completion or a drop each frees one; a no-op on open-loop load.
+    fn release(&mut self, count: usize, now: f64) {
+        if self.closed {
+            for _ in 0..count {
+                release_next_closed_loop(&mut self.pending, now);
+            }
+        }
+    }
+
+    /// Stage-2 routing: drains every device's finished prefills in device
+    /// index order (then emission order), routes each over the
+    /// decode-capable devices, books the transfer on the source's link and
+    /// the destination's ledger, and logs the hop. Returns whether any
+    /// handoff was routed (fixpoint progress).
+    fn route_handoffs(&mut self, router: &mut dyn Router) -> bool {
+        let mut routed = false;
+        for src in 0..self.slots.len() {
+            for h in self.slots[src].dev.take_outbound() {
+                let target = route_among(router, &h.req, &self.plan.decode, |i| {
+                    device_view(i, &self.slots[i].dev)
+                });
+                let cycles = self.slots[src].dev.handoff_transfer_cycles(h.bytes);
+                let arrival = h.ready_cycle + cycles;
+                self.slots[src].dev.note_handoff_out(h.bytes, cycles);
+                if self.trace {
+                    self.route_log.push(TraceEvent::Handoff {
+                        id: h.req.id,
+                        from: src as u32,
+                        to: target as u32,
+                        cycle: h.ready_cycle,
+                        arrival_cycle: arrival,
+                        bytes: h.bytes,
+                    });
+                }
+                self.slots[target].dev.receive_handoff(h, arrival);
+                routed = true;
+            }
+        }
+        routed
+    }
+
+    /// Whether a cross-device coupling is live, so devices are not
+    /// independent up to the next dispatch point: an unreleased
+    /// closed-loop slot (a completion on any device feeds the global
+    /// dispatcher) or a busy `Prefill`-role device (it could produce a
+    /// handoff the phase horizon cannot see — see the module docs).
+    fn coupled(&self) -> bool {
+        (self.closed && self.pending.iter().any(|r| r.arrival_cycle.is_infinite()))
+            || self
+                .slots
+                .iter()
+                .any(|s| s.dev.role() == DeviceRole::Prefill && s.dev.has_active())
+    }
+
+    /// Steps the busy device with the earliest clock once (ties toward the
+    /// lowest index), releasing one closed-loop slot per completion.
+    /// Returns `false` when no device is busy.
+    fn step_earliest(&mut self) -> bool {
+        let Some(slot) = self
+            .slots
+            .iter_mut()
+            .filter(|s| s.dev.has_active())
+            .min_by(|a, b| a.dev.now.total_cmp(&b.dev.now))
+        else {
+            return false;
+        };
+        let completions = slot.dev.step(&mut *slot.sched);
+        let now = slot.dev.now;
+        self.release(completions, now);
+        true
+    }
+
+    /// One parallel phase: every busy device below the next dispatch
+    /// horizon (the earliest pending arrival) runs up to it on the worker
+    /// pool. Returns `false` when no device is busy — after the fixpoint a
+    /// finite pending head implies a busy device with an earlier clock.
+    fn run_phase(&mut self, queue: &PhaseQueue<Job<'s, 'a, 'x>>) -> bool {
+        let horizon = self
+            .pending
+            .front()
+            .map_or(f64::INFINITY, |r| r.arrival_cycle);
+        let (jobs, mut rest): (Vec<_>, Vec<_>) = std::mem::take(&mut self.slots)
+            .into_iter()
+            .enumerate()
+            .map(|(index, slot)| Job {
+                index,
+                slot,
+                horizon,
+            })
+            .partition(|job| job.slot.dev.has_active() && job.slot.dev.now < horizon);
+        let advanced = !jobs.is_empty();
+        rest.extend(queue.run_phase(jobs));
+        rest.sort_unstable_by_key(|job| job.index);
+        self.slots = rest.into_iter().map(|job| job.slot).collect();
+        advanced
+    }
+}
+
+/// The drive loop behind every run: one scheduler slice and one profile
+/// per device. With `trace` set, every device logs its
+/// admission/step/preemption events and the router's dispatch decisions
+/// are logged too; the merged history — ordered by the explicit
+/// `(cycle, device, kind, seq)` key — is returned as the [`RunTrace`].
+/// Observation only: the simulated run itself is bit-exact with an
+/// untraced one, and with
 /// [`ServeConfig::fleet_workers`](crate::ServeConfig::fleet_workers) at
-/// two or more it delegates to the bit-exact [`drive_parallel`].
+/// two or more the devices advance on a scoped worker pool, bit-exact
+/// with the one-step mode (see the module docs).
 pub(crate) fn drive<'a>(
     sim: &ServeSim<'a>,
     workload: &Workload,
@@ -735,127 +960,32 @@ pub(crate) fn drive<'a>(
     let n = scheds.len();
     assert!(n >= 1, "at least one device");
     assert_eq!(n, profiles.len(), "one profile per scheduler slice");
-    let workers = sim.config().fleet_workers.unwrap_or(1).min(n);
-    if workers >= 2 {
-        return drive_parallel(sim, workload, scheds, profiles, router, trace, workers);
-    }
-    let closed = workload.closed_loop.is_some();
-    let plan = StagePlan::new(profiles);
     let name = report_name(scheds, router);
-    let mut devs: Vec<DeviceSim<'_, '_>> = profiles
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let mut dev = DeviceSim::new(sim, p);
-            dev.device = i as u32;
-            dev.log = trace.then(Vec::new);
-            dev
-        })
-        .collect();
-    let mut route_log: Vec<TraceEvent> = Vec::new();
-    // Kept arrival-sorted (generated workloads already are; sorting here
-    // makes hand-built ones safe too, and closed-loop releases re-insert
-    // their entry at its sorted position).
-    let mut pending: VecDeque<Request> = workload.requests.clone().into();
-    pending
-        .make_contiguous()
-        .sort_by(|a, b| a.arrival_cycle.total_cmp(&b.arrival_cycle));
-
-    loop {
-        // ---- admission + dispatch, to a fixpoint ----
-        loop {
-            let mut progress = false;
-            for dev in &mut devs {
-                let drops = dev.admit();
-                if drops > 0 {
-                    progress = true;
-                    if closed {
-                        for _ in 0..drops {
-                            release_next_closed_loop(&mut pending, dev.now);
-                        }
+    let workers = sim.config().fleet_workers.unwrap_or(1).min(n);
+    let mut fleet = Drive::new(sim, workload, scheds, profiles, trace);
+    if workers < 2 {
+        fleet.run(router, Advance::Sequential);
+    } else {
+        let queue: PhaseQueue<Job<'_, '_, '_>> = PhaseQueue::new();
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| {
+                    while let Some(mut job) = queue.claim() {
+                        job.slot.dev.run_until(job.horizon, &mut *job.slot.sched);
+                        queue.complete(job);
                     }
-                }
+                });
             }
-            // Stage-2: route finished prefills onto decode devices (the
-            // admissions above and the step below both produce them).
-            if plan.specialized {
-                let mut refs: Vec<&mut DeviceSim<'_, '_>> = devs.iter_mut().collect();
-                if route_handoffs(&mut refs, router, &plan.decode, &mut route_log, trace) > 0 {
-                    progress = true;
-                }
-            }
-            // Dispatch every arrival due at or before the earliest busy
-            // device clock; with the whole fleet idle the next arrival is
-            // due immediately (its device fast-forwards to it).
-            while let Some(head) = pending.front() {
-                if !head.arrival_cycle.is_finite() {
-                    break;
-                }
-                let min_busy = devs
-                    .iter()
-                    .filter(|d| d.has_active())
-                    .map(|d| d.now)
-                    .min_by(f64::total_cmp);
-                if min_busy.is_some_and(|clock| head.arrival_cycle > clock) {
-                    break;
-                }
-                let req = pending.pop_front().expect("head exists");
-                let target = if plan.specialized {
-                    // Stage-1: prompts route over prefill-capable
-                    // devices only.
-                    route_among(router, &req, &plan.prefill, |i| device_view(i, &devs[i]))
-                } else {
-                    let views = fleet_views(&devs);
-                    let target = router.route(&req, &views);
-                    assert!(
-                        target < n,
-                        "router `{}` picked device {target} of {n}",
-                        router.name()
-                    );
-                    target
-                };
-                if trace {
-                    route_log.push(TraceEvent::Route {
-                        id: req.id,
-                        device: target as u32,
-                        cycle: req.arrival_cycle,
-                    });
-                }
-                devs[target].enqueue(req);
-                let drops = devs[target].admit();
-                if closed && drops > 0 {
-                    let t = devs[target].now;
-                    for _ in 0..drops {
-                        release_next_closed_loop(&mut pending, t);
-                    }
-                }
-                progress = true;
-            }
-            if !progress {
-                break;
-            }
-        }
-
-        // ---- step the busy device with the earliest clock ----
-        let Some(i) = (0..n)
-            .filter(|&i| devs[i].has_active())
-            .min_by(|&a, &b| devs[a].now.total_cmp(&devs[b].now))
-        else {
-            break; // drained (closed-loop leftovers can never release)
-        };
-        let completions = devs[i].step(scheds[i]);
-        if closed && completions > 0 {
-            let t = devs[i].now;
-            for _ in 0..completions {
-                release_next_closed_loop(&mut pending, t);
-            }
-        }
+            fleet.run(router, Advance::Pool(&queue));
+            queue.shutdown();
+        });
     }
     debug_assert!(
-        devs.iter().all(DeviceSim::is_drained),
+        fleet.slots.iter().all(|s| s.dev.is_drained()),
         "driver exited with undone device work"
     );
-    merge_fleet(workload, devs, route_log, name, trace)
+    let devs = fleet.slots.into_iter().map(|s| s.dev).collect();
+    merge_fleet(workload, devs, fleet.route_log, name, trace)
 }
 
 /// Display name of a fleet run's report.
@@ -879,7 +1009,7 @@ fn report_name(scheds: &[&mut dyn Scheduler], router: &dyn Router) -> String {
 /// group boundaries, where every departure's admission has been
 /// counted. The sweep is order-independent across devices — it depends
 /// only on the union of the per-device delta logs — which keeps it
-/// identical between the sequential and parallel drives.
+/// identical between the one-step and the pool drive.
 fn fleet_peak_concurrency(logs: &[&[(f64, i32)]]) -> usize {
     let mut deltas: Vec<(f64, i32)> = logs.iter().flat_map(|l| l.iter().copied()).collect();
     deltas.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
@@ -901,213 +1031,12 @@ fn fleet_peak_concurrency(logs: &[&[(f64, i32)]]) -> usize {
     usize::try_from(peak).expect("peak is non-negative")
 }
 
-/// The parallel fleet drive behind
-/// [`ServeConfig::fleet_workers`](crate::ServeConfig::fleet_workers):
-/// the same dispatch fixpoint as [`drive`], with the inter-dispatch
-/// device stepping executed by a pool of scoped worker threads (see the
-/// module docs for the independence argument). Bit-exact with the
-/// sequential drive for any worker count.
-fn drive_parallel<'a>(
-    sim: &ServeSim<'a>,
-    workload: &Workload,
-    scheds: &mut [&mut dyn Scheduler],
-    profiles: &[DeviceProfile<'a>],
-    router: &mut dyn Router,
-    trace: bool,
-    workers: usize,
-) -> (ServeReport, Option<RunTrace>) {
-    let n = scheds.len();
-    debug_assert!(workers >= 2 && workers <= n);
-    let closed = workload.closed_loop.is_some();
-    let plan = StagePlan::new(profiles);
-    let prefill_role: Vec<bool> = profiles
-        .iter()
-        .map(|p| p.role == DeviceRole::Prefill)
-        .collect();
-    let name = report_name(scheds, router);
-    let devs: Vec<DeviceSim<'_, '_>> = profiles
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let mut dev = DeviceSim::new(sim, p);
-            dev.device = i as u32;
-            dev.log = trace.then(Vec::new);
-            dev
-        })
-        .collect();
-    let mut route_log: Vec<TraceEvent> = Vec::new();
-    let mut pending: VecDeque<Request> = workload.requests.clone().into();
-    pending
-        .make_contiguous()
-        .sort_by(|a, b| a.arrival_cycle.total_cmp(&b.arrival_cycle));
-
-    // One slot per device: the device plus its scheduler, behind a mutex
-    // so the borrow checker proves worker/coordinator exclusivity. The
-    // phase barrier already guarantees it — the coordinator only touches
-    // slots while workers are parked — so the locks never contend.
-    let queue = PhaseQueue::new();
-    let cells: Vec<Mutex<_>> = devs
-        .into_iter()
-        .zip(scheds.iter_mut().map(|s| &mut **s))
-        .map(Mutex::new)
-        .collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                while let Some((slot, horizon)) = queue.claim() {
-                    {
-                        let mut cell = cells[slot].lock().expect("fleet slot poisoned");
-                        let (dev, sched) = &mut *cell;
-                        dev.run_until(horizon, &mut **sched);
-                    }
-                    queue.complete();
-                }
-            });
-        }
-        loop {
-            let mut slots: Vec<_> = cells
-                .iter()
-                .map(|c| c.lock().expect("fleet slot poisoned"))
-                .collect();
-            // ---- admission + dispatch, to a fixpoint (mirrors `drive`) ----
-            loop {
-                let mut progress = false;
-                for slot in slots.iter_mut() {
-                    let drops = slot.0.admit();
-                    if drops > 0 {
-                        progress = true;
-                        if closed {
-                            for _ in 0..drops {
-                                release_next_closed_loop(&mut pending, slot.0.now);
-                            }
-                        }
-                    }
-                }
-                // Stage-2: route finished prefills (mirrors `drive`).
-                if plan.specialized {
-                    let mut refs: Vec<&mut DeviceSim<'_, '_>> =
-                        slots.iter_mut().map(|s| &mut s.0).collect();
-                    if route_handoffs(&mut refs, router, &plan.decode, &mut route_log, trace) > 0 {
-                        progress = true;
-                    }
-                }
-                while let Some(head) = pending.front() {
-                    if !head.arrival_cycle.is_finite() {
-                        break;
-                    }
-                    let min_busy = slots
-                        .iter()
-                        .filter(|s| s.0.has_active())
-                        .map(|s| s.0.now)
-                        .min_by(f64::total_cmp);
-                    if min_busy.is_some_and(|clock| head.arrival_cycle > clock) {
-                        break;
-                    }
-                    let req = pending.pop_front().expect("head exists");
-                    let target = if plan.specialized {
-                        // Stage-1: prompts route over prefill-capable
-                        // devices only.
-                        route_among(router, &req, &plan.prefill, |i| device_view(i, &slots[i].0))
-                    } else {
-                        let views: Vec<DeviceView> = slots
-                            .iter()
-                            .enumerate()
-                            .map(|(i, s)| device_view(i, &s.0))
-                            .collect();
-                        let target = router.route(&req, &views);
-                        assert!(
-                            target < n,
-                            "router `{}` picked device {target} of {n}",
-                            router.name()
-                        );
-                        target
-                    };
-                    if trace {
-                        route_log.push(TraceEvent::Route {
-                            id: req.id,
-                            device: target as u32,
-                            cycle: req.arrival_cycle,
-                        });
-                    }
-                    slots[target].0.enqueue(req);
-                    let drops = slots[target].0.admit();
-                    if closed && drops > 0 {
-                        let t = slots[target].0.now;
-                        for _ in 0..drops {
-                            release_next_closed_loop(&mut pending, t);
-                        }
-                    }
-                    progress = true;
-                }
-                if !progress {
-                    break;
-                }
-            }
-
-            let slots_unreleased = closed && pending.iter().any(|r| r.arrival_cycle.is_infinite());
-            // A busy `Prefill`-role device could produce a handoff — a
-            // cross-device coupling the phase horizon cannot see — so the
-            // drive serializes until the prefill pool is quiescent (see
-            // the module docs' handoff independence argument).
-            let prefill_busy =
-                plan.specialized && (0..n).any(|i| prefill_role[i] && slots[i].0.has_active());
-            if slots_unreleased || prefill_busy {
-                // Unreleased population slots remain (a completion on any
-                // device feeds the global dispatcher) or a handoff could
-                // be produced, so devices are not independent yet. Step
-                // exactly as the sequential loop does — earliest clock
-                // first, releases after the step.
-                let Some(i) = (0..n)
-                    .filter(|&i| slots[i].0.has_active())
-                    .min_by(|&a, &b| slots[a].0.now.total_cmp(&slots[b].0.now))
-                else {
-                    break; // drained (leftover slots can never release)
-                };
-                let slot = &mut *slots[i];
-                let completions = slot.0.step(&mut *slot.1);
-                if closed && completions > 0 {
-                    let t = slot.0.now;
-                    for _ in 0..completions {
-                        release_next_closed_loop(&mut pending, t);
-                    }
-                }
-                continue;
-            }
-
-            // ---- parallel phase: drive every busy device below the next
-            // dispatch horizon up to it ----
-            let horizon = pending.front().map_or(f64::INFINITY, |r| r.arrival_cycle);
-            let jobs: Vec<usize> = (0..n)
-                .filter(|&i| slots[i].0.has_active() && slots[i].0.now < horizon)
-                .collect();
-            if jobs.is_empty() {
-                // Drained: after the fixpoint a finite pending head
-                // implies a busy device with an earlier clock.
-                break;
-            }
-            drop(slots);
-            queue.run_phase(jobs, horizon);
-        }
-        queue.shutdown();
-    });
-
-    let devs: Vec<DeviceSim<'_, '_>> = cells
-        .into_iter()
-        .map(|c| c.into_inner().expect("fleet slot poisoned").0)
-        .collect();
-    debug_assert!(
-        devs.iter().all(DeviceSim::is_drained),
-        "parallel driver exited with undone device work"
-    );
-    merge_fleet(workload, devs, route_log, name, trace)
-}
-
 /// Merges drained per-device simulations into the fleet [`ServeReport`]
-/// (and, when tracing, the [`RunTrace`]). Shared by the sequential and
-/// parallel drives: every aggregate is either accumulated in device
-/// index order, computed by an order-independent sweep, or sorted by an
-/// explicit total order, so identical per-device end states merge into
-/// bit-identical reports regardless of how the devices were driven.
+/// (and, when tracing, the [`RunTrace`]). Every aggregate is either
+/// accumulated in device index order, computed by an order-independent
+/// sweep, or sorted by an explicit total order, so identical per-device
+/// end states merge into bit-identical reports regardless of how the
+/// devices were advanced.
 fn merge_fleet(
     workload: &Workload,
     mut devs: Vec<DeviceSim<'_, '_>>,

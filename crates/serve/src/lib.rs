@@ -102,11 +102,11 @@
 //! *one* serving instance faster via the §5.3 tensor-parallel scaling
 //! model ([`mcbp_workloads::Fleet`]): step latency divides by the group's
 //! effective speedup and energy pays the communication tax.
-//! [`ServeSim::run_fleet`] scales *out* instead: N independent simulated
+//! [`ServeSim::run_spec`] scales *out* instead: N independent simulated
 //! devices, each with its own [`KvCachePool`], scheduler state, and
 //! clock, behind a pluggable [`Router`], with per-device
 //! utilization/goodput breakdowns in [`ServeReport::devices`]. Fleets
-//! need not be uniform: [`ServeSim::run_fleet_profiles`] builds each
+//! need not be uniform: a [`RunSpec`] builds each
 //! device from its own [`DeviceProfile`] — accelerator generation (its
 //! own step-cost model), BGPP keep ratio, pool budget, host link, and a
 //! relative throughput weight — and [`DispatchPolicy`] spans round-robin,
@@ -201,7 +201,7 @@ mod sim;
 
 pub use arrival::{ArrivalProcess, LoadGenerator, RequestClass, Workload};
 pub use cost::{StepCost, StepCostModel};
-pub use dispatch::{DeviceView, DispatchPolicy, PolicyRouter, Router};
+pub use dispatch::{DeviceView, DispatchPolicy, PolicyRouter, Router, RunOutcome, RunSpec};
 pub use pool::{request_kv_bytes, KvCachePool, PrefixResidency, Reservation};
 pub use preempt::{EvictionPolicy, HandoffLedger, PreemptConfig, SwapLedger, HOST_LINK_RATIO};
 pub use profile::{DeviceProfile, DeviceRole};

@@ -3,92 +3,85 @@
 //! The build environment is offline (no rayon), so this module provides
 //! the one primitive `crate::dispatch` needs: a [`PhaseQueue`] that a
 //! fixed set of `std::thread::scope` workers block on, executing
-//! *phases* — batches of independent slot indices, each to be driven up
-//! to a shared horizon — published one at a time by the coordinating
-//! thread. The workers persist across phases (a fleet run has one phase
-//! per dispatch point, and spawning threads per phase would dominate
-//! microsecond-scale device steps), claim slots dynamically for load
-//! balance, and park between phases.
+//! *phases* — batches of independent jobs published one at a time by the
+//! coordinating thread. The workers persist across phases (a fleet run
+//! has one phase per dispatch point, and spawning threads per phase would
+//! dominate microsecond-scale device steps), claim jobs dynamically for
+//! load balance, and park between phases.
 //!
-//! The queue carries only slot *indices*; the payloads live in a
-//! `Vec<Mutex<_>>` owned by the caller, so the borrow checker — not this
-//! module — proves exclusive access. Determinism needs nothing from this
-//! module: the phases it runs are independent by construction (see the
-//! dispatch-horizon argument in `crate::dispatch`), so any claim order
-//! produces identical per-slot state.
+//! Jobs move by value: the coordinator hands a phase's jobs to the queue
+//! and gets every one of them back when the phase ends, so a job is never
+//! reachable from two threads at once and needs no lock of its own.
+//! Determinism needs nothing from this module: the jobs of one phase are
+//! independent by construction (see the dispatch-horizon argument in
+//! `crate::dispatch`), so any claim order produces identical job state.
 
 use std::sync::{Condvar, Mutex};
 
 /// Coordination state shared between the phase coordinator and workers.
-struct PhaseState {
-    /// Slot indices of the current phase.
-    jobs: Vec<usize>,
-    /// Next unclaimed index into `jobs`.
-    next: usize,
-    /// Claimed-but-unfinished jobs of the current phase.
+struct PhaseState<T> {
+    /// Unclaimed jobs of the current phase.
+    todo: Vec<T>,
+    /// Finished jobs of the current phase, handed back by the workers.
+    done: Vec<T>,
+    /// Jobs of the current phase not yet finished.
     outstanding: usize,
-    /// Horizon the current phase drives each slot up to.
-    horizon: f64,
     /// Set once by [`PhaseQueue::shutdown`]; workers drain and exit.
     shutdown: bool,
 }
 
 /// A one-producer, many-worker phase barrier: the coordinator publishes a
-/// batch of independent jobs and blocks until every job has run; workers
-/// loop on [`PhaseQueue::claim`] / [`PhaseQueue::complete`] until
-/// shutdown.
-pub(crate) struct PhaseQueue {
-    state: Mutex<PhaseState>,
+/// batch of independent jobs and blocks until every job has run and come
+/// back; workers loop on [`PhaseQueue::claim`] / [`PhaseQueue::complete`]
+/// until shutdown.
+pub(crate) struct PhaseQueue<T> {
+    state: Mutex<PhaseState<T>>,
     /// Signaled when jobs become available or shutdown is requested.
     work: Condvar,
     /// Signaled when the last job of a phase completes.
-    done: Condvar,
+    finished: Condvar,
 }
 
-impl PhaseQueue {
+impl<T> PhaseQueue<T> {
     pub(crate) fn new() -> Self {
         PhaseQueue {
             state: Mutex::new(PhaseState {
-                jobs: Vec::new(),
-                next: 0,
+                todo: Vec::new(),
+                done: Vec::new(),
                 outstanding: 0,
-                horizon: 0.0,
                 shutdown: false,
             }),
             work: Condvar::new(),
-            done: Condvar::new(),
+            finished: Condvar::new(),
         }
     }
 
     /// Publishes one phase and blocks until every job in it has
-    /// completed. Must only be called again after the previous call
-    /// returned (single coordinator), so workers never observe two
-    /// phases at once.
-    pub(crate) fn run_phase(&self, jobs: Vec<usize>, horizon: f64) {
+    /// completed, returning the jobs in completion order. Must only be
+    /// called again after the previous call returned (single
+    /// coordinator), so workers never observe two phases at once.
+    pub(crate) fn run_phase(&self, jobs: Vec<T>) -> Vec<T> {
         if jobs.is_empty() {
-            return;
+            return jobs;
         }
         let mut state = self.state.lock().expect("phase queue poisoned");
         debug_assert_eq!(state.outstanding, 0, "phase published over a live one");
         state.outstanding = jobs.len();
-        state.jobs = jobs;
-        state.next = 0;
-        state.horizon = horizon;
+        state.todo = jobs;
         self.work.notify_all();
         while state.outstanding > 0 {
-            state = self.done.wait(state).expect("phase queue poisoned");
+            state = self.finished.wait(state).expect("phase queue poisoned");
         }
+        std::mem::take(&mut state.done)
     }
 
-    /// Worker side: blocks for the next `(slot, horizon)` job, or returns
-    /// `None` once shutdown is requested and no jobs remain.
-    pub(crate) fn claim(&self) -> Option<(usize, f64)> {
+    /// Worker side: blocks for the next job, or returns `None` once
+    /// shutdown is requested and no jobs remain.
+    pub(crate) fn claim(&self) -> Option<T> {
         let mut state = self.state.lock().expect("phase queue poisoned");
         loop {
-            if state.next < state.jobs.len() {
-                let slot = state.jobs[state.next];
-                state.next += 1;
-                return Some((slot, state.horizon));
+            if let Some(job) = state.todo.pop() {
+                return Some(job);
             }
             if state.shutdown {
                 return None;
@@ -97,12 +90,13 @@ impl PhaseQueue {
         }
     }
 
-    /// Worker side: marks one claimed job finished.
-    pub(crate) fn complete(&self) {
+    /// Worker side: hands one claimed job back, finished.
+    pub(crate) fn complete(&self, job: T) {
         let mut state = self.state.lock().expect("phase queue poisoned");
+        state.done.push(job);
         state.outstanding -= 1;
         if state.outstanding == 0 {
-            self.done.notify_all();
+            self.finished.notify_all();
         }
     }
 
@@ -117,52 +111,50 @@ impl PhaseQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Jobs are `(slot, runs)` pairs; a worker bumps `runs` once per claim.
+    fn sorted(mut jobs: Vec<(usize, u32)>) -> Vec<(usize, u32)> {
+        jobs.sort_unstable();
+        jobs
+    }
 
     #[test]
-    fn phases_run_every_job_exactly_once_and_barrier_holds() {
+    fn phases_run_every_job_exactly_once_and_hand_it_back() {
         let queue = PhaseQueue::new();
-        let counts: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
-                    while let Some((slot, horizon)) = queue.claim() {
-                        assert!(horizon > 0.0);
-                        counts[slot].fetch_add(1, Ordering::Relaxed);
-                        queue.complete();
+                    while let Some((slot, runs)) = queue.claim() {
+                        queue.complete((slot, runs + 1));
                     }
                 });
             }
             // Three phases over overlapping job sets; run_phase returning
-            // proves the barrier (all increments of a phase are visible).
-            queue.run_phase((0..64).collect(), 1.0);
-            for (i, c) in counts.iter().enumerate() {
-                assert_eq!(c.load(Ordering::Relaxed), 1, "slot {i} after phase 1");
-            }
-            queue.run_phase((0..32).collect(), 2.0);
-            queue.run_phase(vec![7], 3.0);
+            // every job, each run once more, proves the barrier.
+            let first = sorted(queue.run_phase((0..64).map(|slot| (slot, 0)).collect()));
+            assert_eq!(first, (0..64).map(|slot| (slot, 1)).collect::<Vec<_>>());
+            let second = sorted(queue.run_phase(first[..32].to_vec()));
+            assert_eq!(second, (0..32).map(|slot| (slot, 2)).collect::<Vec<_>>());
+            assert_eq!(queue.run_phase(vec![(7, 2)]), vec![(7, 3)]);
             queue.shutdown();
         });
-        for (i, c) in counts.iter().enumerate() {
-            let expect = 1 + usize::from(i < 32) + usize::from(i == 7);
-            assert_eq!(c.load(Ordering::Relaxed), expect, "slot {i} final");
-        }
     }
 
     #[test]
     fn empty_phase_is_a_no_op_and_shutdown_unblocks_workers() {
         let queue = PhaseQueue::new();
-        queue.run_phase(Vec::new(), 1.0); // must not wedge the coordinator
+        // Must not wedge the coordinator.
+        assert!(queue.run_phase(Vec::<(usize, u32)>::new()).is_empty());
         std::thread::scope(|scope| {
             let worker = scope.spawn(|| {
                 let mut seen = 0;
-                while queue.claim().is_some() {
+                while let Some(job) = queue.claim() {
                     seen += 1;
-                    queue.complete();
+                    queue.complete(job);
                 }
                 seen
             });
-            queue.run_phase(vec![0, 1, 2], 5.0);
+            assert_eq!(queue.run_phase(vec![(0, 0), (1, 0), (2, 0)]).len(), 3);
             queue.shutdown();
             assert_eq!(worker.join().expect("worker"), 3);
         });

@@ -14,7 +14,7 @@
 //! Every field except `throughput` is an `Option` whose `None` means
 //! *inherit the [`crate::ServeSim`]'s own configuration* — so a fleet of
 //! `DeviceProfile::uniform()` entries is **bit-exact** with the classic
-//! [`crate::ServeSim::run_fleet`] path (asserted by a regression test),
+//! N-clone fleet ([`crate::RunSpec::uniform`], asserted by a regression test),
 //! and heterogeneity is opt-in per axis.
 //!
 //! # Example

@@ -324,7 +324,7 @@ impl PrefixReport {
 }
 
 /// One device's share of a fleet serving run (see
-/// [`crate::ServeSim::run_fleet`]): what the dispatcher sent it, what it
+/// [`crate::ServeSim::run_spec`]): what the dispatcher sent it, what it
 /// completed, and how busy it was.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceReport {
@@ -445,7 +445,7 @@ pub struct ServeReport {
     /// [`ServeReport::devices`]).
     pub prefix: PrefixReport,
     /// Per-device breakdown of a fleet run
-    /// ([`crate::ServeSim::run_fleet`]); a single-device run carries its
+    /// ([`crate::ServeSim::run_spec`]); a single-device run carries its
     /// one lane here too.
     pub devices: Vec<DeviceReport>,
     /// Per-request timelines (completed and dropped).

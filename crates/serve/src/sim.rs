@@ -101,19 +101,19 @@ pub struct ServeConfig {
     /// speedup and energy pays the communication tax (see
     /// [`Fleet::scale`]). This models one multi-chip serving instance;
     /// for data-parallel serving across *independent* devices with their
-    /// own pools and queues, see [`ServeSim::run_fleet`].
+    /// own pools and queues, see [`ServeSim::run_spec`].
     pub fleet: Fleet,
     /// Preemption/eviction policy and host-link bandwidth. Swap transfer
     /// latency is charged at the configured host link and is *not* scaled
     /// by the fleet (one host link per serving instance).
     pub preempt: PreemptConfig,
     /// Worker threads for the fleet drive loop. `None` (the default) and
-    /// `Some(1)` run the sequential reference loop; `Some(n ≥ 2)` steps
+    /// `Some(1)` step one device at a time; `Some(n ≥ 2)` drives
     /// independent busy devices between dispatch points on a scoped
-    /// worker pool (see `crate::dispatch` module docs). The parallel
-    /// drive is bit-exact with the sequential reference — identical
-    /// [`ServeReport`] and `RunTrace` — regardless of worker count, so
-    /// this knob trades wall-clock time only, never results.
+    /// worker pool (see `crate::dispatch` module docs). Both modes are
+    /// bit-exact — identical [`ServeReport`] and `RunTrace` — regardless
+    /// of worker count, so this knob trades wall-clock time only, never
+    /// results.
     pub fleet_workers: Option<usize>,
 }
 
@@ -771,8 +771,8 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
     pub(crate) fn new(sim: &'s ServeSim<'a>, profile: &DeviceProfile<'a>) -> Self {
         let cost = match (profile.accel, profile.attention_keep) {
             // Inherit everything: share the simulator's memoized model so
-            // a uniform fleet stays bit-exact with (and as cheap as) the
-            // classic run_fleet path.
+            // a uniform fleet costs each distinct invocation once,
+            // fleet-wide.
             (None, None) => DeviceCost::Shared(&sim.cost),
             (accel, keep) => {
                 let template = TraceContext {
@@ -834,6 +834,11 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
     /// weighted-JSQ denominator).
     pub(crate) fn throughput(&self) -> f64 {
         self.throughput
+    }
+
+    /// This device's dispatch role.
+    pub(crate) fn role(&self) -> DeviceRole {
+        self.role
     }
 
     /// Appends one event to a traced run's log (no-op when untraced, so

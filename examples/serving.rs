@@ -199,12 +199,15 @@ fn main() {
     }
     .generate();
     let sim = engine.serve_sim(0.3, cfg.clone());
-    let rr = sim.run_fleet(&skewed, 2, DispatchPolicy::RoundRobin, &mut || {
-        Box::new(ContinuousBatchScheduler::new())
-    });
-    let jsq = sim.run_fleet(&skewed, 2, DispatchPolicy::JoinShortestQueue, &mut || {
-        Box::new(ContinuousBatchScheduler::new())
-    });
+    let fleet_run = |policy| {
+        sim.run_spec(&skewed, RunSpec::uniform(2, policy), &mut || {
+            Box::new(ContinuousBatchScheduler::new())
+        })
+        .expect("a valid two-device fleet")
+        .report
+    };
+    let rr = fleet_run(DispatchPolicy::RoundRobin);
+    let jsq = fleet_run(DispatchPolicy::JoinShortestQueue);
     println!("{rr}\n");
     println!("{jsq}\n");
     assert!(

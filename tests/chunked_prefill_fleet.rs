@@ -169,7 +169,14 @@ fn jsq_fleet_conserves_requests_and_per_device_budgets() {
     .generate();
     let mut mk: Box<dyn FnMut() -> Box<dyn Scheduler>> =
         Box::new(|| Box::new(ContinuousBatchScheduler::new()));
-    let report = sim.run_fleet(&load, 3, DispatchPolicy::JoinShortestQueue, &mut mk);
+    let report = sim
+        .run_spec(
+            &load,
+            RunSpec::uniform(3, DispatchPolicy::JoinShortestQueue),
+            &mut mk,
+        )
+        .expect("valid fleet run")
+        .report;
     assert_eq!(report.devices.len(), 3);
     // Conservation: 24 requests in, 24 records out, ids unique and served
     // exactly once.
@@ -230,8 +237,13 @@ fn fleet_dispatch_is_deterministic_per_policy() {
     for policy in DispatchPolicy::ALL {
         let mut mk: Box<dyn FnMut() -> Box<dyn Scheduler>> =
             Box::new(|| Box::new(ContinuousBatchScheduler::new()));
-        let a = sim.run_fleet(&load, 2, policy, &mut mk);
-        let b = sim.run_fleet(&load, 2, policy, &mut mk);
+        let mut run = || {
+            sim.run_spec(&load, RunSpec::uniform(2, policy), &mut mk)
+                .expect("valid fleet run")
+                .report
+        };
+        let a = run();
+        let b = run();
         assert_eq!(a, b, "{policy:?} must replay bit-identically");
         assert_eq!(a.completed, 12, "{policy:?}");
     }

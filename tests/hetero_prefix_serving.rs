@@ -1,6 +1,6 @@
 //! Integration tests for the heterogeneous-fleet / prefix-routing layer
 //! on the real cycle-level model: uniform [`DeviceProfile`] fleets must
-//! reproduce the classic `run_fleet` bit-exactly, mixed-generation
+//! reproduce the classic uniform fleet bit-exactly, mixed-generation
 //! profiles must route work where it drains fastest, and cross-request
 //! prefix reuse must cut prefill work without losing a byte of pool
 //! accounting.
@@ -34,7 +34,7 @@ fn skewed_trace(count: usize, seed: u64) -> Workload {
 /// The acceptance regression: a fleet of N uniform profiles — including
 /// profiles that *explicitly* restate the simulator's own accelerator,
 /// keep ratio, and budget (exercising the per-device owned cost model) —
-/// reproduces today's `run_fleet` results bit-exactly for every
+/// reproduces the classic uniform fleet bit-exactly for every
 /// pre-existing dispatch policy.
 #[test]
 fn uniform_profiles_reproduce_run_fleet_bit_exactly() {
@@ -53,7 +53,10 @@ fn uniform_profiles_reproduce_run_fleet_bit_exactly() {
         DispatchPolicy::JoinShortestQueue,
         DispatchPolicy::LeastLoadedPool,
     ] {
-        let classic = sim.run_fleet(&load, 3, policy, &mut mk);
+        let classic = sim
+            .run_spec(&load, RunSpec::uniform(3, policy), &mut mk)
+            .expect("valid fleet run")
+            .report;
         let uniform = vec![DeviceProfile::uniform(); 3];
         let profiled = sim.run_fleet_profiles(&load, &uniform, policy, &mut mk);
         assert_eq!(
@@ -86,8 +89,13 @@ fn weighted_jsq_degenerates_to_jsq_on_a_uniform_fleet() {
     let sim = engine.serve_sim(0.3, ServeConfig::default());
     let load = skewed_trace(24, 13);
     let mut mk = || Box::new(ContinuousBatchScheduler::new()) as Box<dyn mcbp::serve::Scheduler>;
-    let jsq = sim.run_fleet(&load, 2, DispatchPolicy::JoinShortestQueue, &mut mk);
-    let wjsq = sim.run_fleet(&load, 2, DispatchPolicy::WeightedJsq, &mut mk);
+    let mut run = |policy| {
+        sim.run_spec(&load, RunSpec::uniform(2, policy), &mut mk)
+            .expect("valid fleet run")
+            .report
+    };
+    let jsq = run(DispatchPolicy::JoinShortestQueue);
+    let wjsq = run(DispatchPolicy::WeightedJsq);
     assert_eq!(jsq.records, wjsq.records);
     assert_eq!(jsq.devices, wjsq.devices);
 }
@@ -250,8 +258,12 @@ fn fleet_and_workload_validation_returns_typed_errors() {
     let load = skewed_trace(4, 1);
     let mut mk = || Box::new(ContinuousBatchScheduler::new()) as Box<dyn mcbp::serve::Scheduler>;
     assert_eq!(
-        sim.try_run_fleet_profiles(&load, &[], DispatchPolicy::RoundRobin, &mut mk)
-            .err(),
+        sim.run_spec(
+            &load,
+            RunSpec::fleet(&[], DispatchPolicy::RoundRobin),
+            &mut mk
+        )
+        .err(),
         Some(ServeConfigError::EmptyFleet)
     );
     let bad = [
@@ -259,8 +271,12 @@ fn fleet_and_workload_validation_returns_typed_errors() {
         DeviceProfile::uniform().with_throughput(-1.0),
     ];
     assert_eq!(
-        sim.try_run_fleet_profiles(&load, &bad, DispatchPolicy::WeightedJsq, &mut mk)
-            .err(),
+        sim.run_spec(
+            &load,
+            RunSpec::fleet(&bad, DispatchPolicy::WeightedJsq),
+            &mut mk
+        )
+        .err(),
         Some(ServeConfigError::ZeroThroughputProfile { device: 1 })
     );
     let oversized = Workload {
@@ -275,10 +291,9 @@ fn fleet_and_workload_validation_returns_typed_errors() {
             if prefix_tokens == 1 << 20
     ));
     assert_eq!(
-        sim.try_run_fleet_profiles(
+        sim.run_spec(
             &oversized,
-            &[DeviceProfile::uniform()],
-            DispatchPolicy::PrefixAffinity,
+            RunSpec::fleet(&[DeviceProfile::uniform()], DispatchPolicy::PrefixAffinity),
             &mut mk
         )
         .err(),

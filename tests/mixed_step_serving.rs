@@ -171,8 +171,13 @@ fn budgeted_fleet_runs_conserve_and_replay() {
     for policy in DispatchPolicy::ALL {
         let mut mk: Box<dyn FnMut() -> Box<dyn Scheduler>> =
             Box::new(|| Box::new(ContinuousBatchScheduler::new()));
-        let a = sim.run_fleet(&load, 2, policy, &mut mk);
-        let b = sim.run_fleet(&load, 2, policy, &mut mk);
+        let mut run = || {
+            sim.run_spec(&load, RunSpec::uniform(2, policy), &mut mk)
+                .expect("valid fleet run")
+                .report
+        };
+        let a = run();
+        let b = run();
         assert_eq!(a, b, "{policy:?} must replay bit-identically");
         assert_eq!(a.completed, 12, "{policy:?}");
         assert!(a.steps.mixed_steps > 0, "{policy:?}: {:?}", a.steps);

@@ -174,7 +174,10 @@ fn fleet_pool_mean_weights_devices_by_busy_span_not_clock_span() {
         last: load.requests.len() as u64 - 1,
     };
     let fleet = vec![DeviceProfile::uniform(); 2];
-    let report = sim.run_fleet_with_router(&load, &fleet, &mut router, &mut mk());
+    let report = sim
+        .run_spec(&load, RunSpec::routed(&fleet, &mut router), &mut mk())
+        .expect("valid fleet run")
+        .report;
     assert_eq!(report.completed, 14);
     let d0 = &report.devices[0].pool;
     let d1 = &report.devices[1].pool;
@@ -226,7 +229,14 @@ fn fleet_peak_concurrency_is_not_a_sum_of_device_peaks() {
         ArrivalProcess::ClosedLoop { concurrency: 1 },
     )
     .generate();
-    let report = sim.run_fleet(&load, 3, DispatchPolicy::RoundRobin, &mut mk());
+    let report = sim
+        .run_spec(
+            &load,
+            RunSpec::uniform(3, DispatchPolicy::RoundRobin),
+            &mut mk(),
+        )
+        .expect("valid fleet run")
+        .report;
     assert_eq!(report.completed, 8);
     // Every device served work, so the old per-device-peak sum would
     // report 3; only one request is ever in flight.
