@@ -5,14 +5,16 @@
 //! `ServeConfig::fleet_workers = Some(w)` must produce the **bit-exact**
 //! `ServeReport` *and* `RunTrace` of the sequential reference
 //! (`fleet_workers = None`). The parallel drive is pure execution
-//! strategy; any observable divergence is a bug.
+//! strategy; any observable divergence is a bug. Each fleet lane of the
+//! report must also be the device-order fold of its per-device lanes.
 
 use std::sync::OnceLock;
 
 use mcbp_model::LlmConfig;
 use mcbp_serve::{
-    DeviceProfile, DeviceRole, DispatchPolicy, Priority, Request, RequestId, Scheduler,
-    ServeConfig, ServeSim, SharedPrefix, SloSpec, Workload,
+    DeviceProfile, DeviceReport, DeviceRole, DispatchPolicy, HandoffReport, PoolReport,
+    PreemptReport, PrefixReport, Priority, Request, RequestId, Scheduler, ServeConfig, ServeReport,
+    ServeSim, SharedPrefix, SloSpec, StepReport, Workload,
 };
 use mcbp_workloads::{
     Accelerator, PhaseCost, RunReport, SparsityProfile, Task, TraceContext, WeightGenerator,
@@ -117,6 +119,92 @@ fn make_scheduler(priority: bool) -> Box<dyn Scheduler> {
     }
 }
 
+/// Checks that every fleet lane of `report` folds its device lanes in
+/// device order: integer fields add, `*_seconds` fields add left to
+/// right, the budget utilization is the step-weighted mean, and the pool
+/// residency mean is each device's busy-span mean weighted onto the fleet
+/// span — within 1e-12 relative, since the simulator weights it in cycles
+/// while the report carries seconds.
+fn fleet_lanes_fold_devices(report: &ServeReport) -> Result<(), TestCaseError> {
+    let lanes = &report.devices;
+    let count = |f: fn(&DeviceReport) -> u64| lanes.iter().map(f).sum::<u64>();
+    let seconds = |f: fn(&DeviceReport) -> f64| lanes.iter().map(f).fold(0.0, |a, b| a + b);
+    let steps = count(|l| l.steps.steps);
+    let weighted_util = seconds(|l| l.steps.mean_budget_utilization * l.steps.steps as f64);
+    let mean_resident = if report.duration_seconds > 0.0 {
+        lanes.iter().fold(0.0, |a, l| {
+            a + l.pool.mean_resident_bytes * l.pool.busy_span_seconds / report.duration_seconds
+        })
+    } else {
+        0.0
+    };
+    let got = report.pool.mean_resident_bytes;
+    prop_assert!(
+        (got - mean_resident).abs() <= 1e-12 * got.abs().max(mean_resident.abs()),
+        "fleet mean residency {} vs device fold {}",
+        got,
+        mean_resident
+    );
+    prop_assert_eq!(
+        report.pool,
+        PoolReport {
+            budget_bytes: count(|l| l.pool.budget_bytes),
+            peak_resident_bytes: count(|l| l.pool.peak_resident_bytes),
+            peak_reserved_bytes: count(|l| l.pool.peak_reserved_bytes),
+            mean_resident_bytes: got,
+            busy_span_seconds: seconds(|l| l.pool.busy_span_seconds),
+            admission_stall_seconds: seconds(|l| l.pool.admission_stall_seconds),
+        }
+    );
+    prop_assert_eq!(
+        report.preempt,
+        PreemptReport {
+            preemptions: count(|l| l.preempt.preemptions),
+            swap_out_bytes: count(|l| l.preempt.swap_out_bytes),
+            swap_in_bytes: count(|l| l.preempt.swap_in_bytes),
+            swap_seconds: seconds(|l| l.preempt.swap_seconds),
+            recompute_seconds: seconds(|l| l.preempt.recompute_seconds),
+            peak_swap_held_bytes: count(|l| l.preempt.peak_swap_held_bytes),
+        }
+    );
+    prop_assert_eq!(
+        report.handoff,
+        HandoffReport {
+            handoffs_out: count(|l| l.handoff.handoffs_out),
+            handoffs_in: count(|l| l.handoff.handoffs_in),
+            bytes_out: count(|l| l.handoff.bytes_out),
+            bytes_in: count(|l| l.handoff.bytes_in),
+            link_seconds: seconds(|l| l.handoff.link_seconds),
+            peak_in_flight_bytes: count(|l| l.handoff.peak_in_flight_bytes),
+        }
+    );
+    prop_assert_eq!(
+        report.steps,
+        StepReport {
+            steps,
+            prefill_steps: count(|l| l.steps.prefill_steps),
+            decode_steps: count(|l| l.steps.decode_steps),
+            mixed_steps: count(|l| l.steps.mixed_steps),
+            mean_budget_utilization: if steps > 0 {
+                weighted_util / steps as f64
+            } else {
+                0.0
+            },
+        }
+    );
+    prop_assert_eq!(
+        report.prefix,
+        PrefixReport {
+            hits: count(|l| l.prefix.hits),
+            misses: count(|l| l.prefix.misses),
+            reused_tokens: count(|l| l.prefix.reused_tokens),
+            reclaimed: count(|l| l.prefix.reclaimed),
+            reclaimed_bytes: count(|l| l.prefix.reclaimed_bytes),
+        }
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -192,5 +280,6 @@ proptest! {
         );
         // Sanity: the runs actually served the trace.
         prop_assert_eq!(seq_report.completed + seq_report.dropped, raw.len());
+        fleet_lanes_fold_devices(&seq_report)?;
     }
 }
