@@ -165,11 +165,8 @@ use crate::arrival::Workload;
 use crate::parallel::PhaseQueue;
 use crate::profile::{DeviceProfile, DeviceRole};
 use crate::record::{merge_event_logs, RunTrace, TraceEvent};
-use crate::report::{
-    DeviceReport, HandoffReport, PoolReport, PreemptReport, PrefixReport, RunTotals, ServeReport,
-    StepReport,
-};
-use crate::request::{PrefixId, Request, SharedPrefix};
+use crate::report::{LatencyStats, PoolReport, ServeReport, StepReport};
+use crate::request::{PrefixId, Request, RequestRecord, SharedPrefix};
 use crate::scheduler::Scheduler;
 use crate::sim::{DeviceSim, ServeConfigError, ServeSim};
 use crate::CLOCK_HZ;
@@ -452,7 +449,8 @@ impl<'r, 'a> RunSpec<'r, 'a> {
 /// recorded history when the [`RunSpec`] asked for one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunOutcome {
-    /// The merged report, with one [`DeviceReport`] lane per device.
+    /// The merged report, with one [`DeviceReport`](crate::DeviceReport)
+    /// lane per device.
     pub report: ServeReport,
     /// The run's recorded history: `Some` exactly when the spec was
     /// [`RunSpec::traced`].
@@ -546,6 +544,8 @@ impl<'a> ServeSim<'a> {
 
     /// Runs one workload across a profiled fleet under a built-in
     /// dispatch policy: [`ServeSim::run_spec`] with [`RunSpec::fleet`].
+    /// Kept only because the `simbench/` benchmark calls it; new code
+    /// calls [`ServeSim::run_spec`].
     ///
     /// # Panics
     ///
@@ -566,7 +566,8 @@ impl<'a> ServeSim<'a> {
     /// Like [`ServeSim::run_fleet_profiles`], but also records the run's
     /// [`RunTrace`] ([`RunSpec::traced`]). Replaying the trace's workload
     /// under the same fleet, policy, and scheduler reproduces the report
-    /// bit-exactly.
+    /// bit-exactly. Kept only because the `simbench/` benchmark calls it;
+    /// new code calls [`ServeSim::run_spec`].
     ///
     /// # Panics
     ///
@@ -859,7 +860,8 @@ impl<'s, 'a, 'x> Drive<'s, 'a, 'x> {
         let mut routed = false;
         for src in 0..self.slots.len() {
             for h in self.slots[src].dev.take_outbound() {
-                let target = route_among(router, &h.req, &self.plan.decode, |i| {
+                let req = &h.flight.req;
+                let target = route_among(router, req, &self.plan.decode, |i| {
                     device_view(i, &self.slots[i].dev)
                 });
                 let cycles = self.slots[src].dev.handoff_transfer_cycles(h.bytes);
@@ -867,7 +869,7 @@ impl<'s, 'a, 'x> Drive<'s, 'a, 'x> {
                 self.slots[src].dev.note_handoff_out(h.bytes, cycles);
                 if self.trace {
                     self.route_log.push(TraceEvent::Handoff {
-                        id: h.req.id,
+                        id: req.id,
                         from: src as u32,
                         to: target as u32,
                         cycle: h.ready_cycle,
@@ -1032,11 +1034,11 @@ fn fleet_peak_concurrency(logs: &[&[(f64, i32)]]) -> usize {
 }
 
 /// Merges drained per-device simulations into the fleet [`ServeReport`]
-/// (and, when tracing, the [`RunTrace`]). Every aggregate is either
-/// accumulated in device index order, computed by an order-independent
-/// sweep, or sorted by an explicit total order, so identical per-device
-/// end states merge into bit-identical reports regardless of how the
-/// devices were advanced.
+/// (and, when tracing, the [`RunTrace`]) — the one place a report is
+/// built. Every aggregate is either accumulated in device index order,
+/// computed by an order-independent sweep, or sorted by an explicit total
+/// order, so identical per-device end states merge into bit-identical
+/// reports regardless of how the devices were advanced.
 fn merge_fleet(
     workload: &Workload,
     mut devs: Vec<DeviceSim<'_, '_>>,
@@ -1046,131 +1048,78 @@ fn merge_fleet(
 ) -> (ServeReport, Option<RunTrace>) {
     let n = devs.len();
     let duration_cycles = devs.iter().map(|d| d.now).fold(0.0, f64::max);
-    let span_s = (duration_cycles / CLOCK_HZ).max(1e-12);
+    let mut report = ServeReport {
+        scheduler: name,
+        duration_seconds: duration_cycles / CLOCK_HZ,
+        offered_rps: workload.offered_rps(),
+        ..ServeReport::default()
+    };
     // The fleet peak is the true simultaneous maximum, not a sum of
     // per-device peaks reached at different local instants.
     let conc_logs: Vec<&[(f64, i32)]> = devs.iter().map(|d| d.conc_log.as_slice()).collect();
-    let peak_concurrency = fleet_peak_concurrency(&conc_logs);
+    report.peak_concurrency = fleet_peak_concurrency(&conc_logs);
     let mut device_logs: Vec<Vec<TraceEvent>> = Vec::new();
-    let mut records = Vec::new();
-    let mut lanes = Vec::new();
-    let mut pool = PoolReport::default();
-    let mut preempt = PreemptReport::default();
-    let mut handoff = HandoffReport::default();
-    let mut steps = StepReport::default();
-    let mut prefix = PrefixReport::default();
     let mut energy_pj = 0.0;
     let mut decode_invocations = 0u64;
     let mut decode_streams = 0u64;
     for (i, d) in devs.iter_mut().enumerate() {
-        let lane_pool = d.pool_report();
-        let lane_preempt = d.preempt_report();
-        let lane_handoff = d.handoff_report();
-        let lane_steps = d.step_report();
-        let lane_prefix = d.prefix_report();
-        let completed = d.records.iter().filter(|r| r.completed()).count();
-        let tokens: usize = d
-            .records
-            .iter()
-            .filter(|r| r.completed())
-            .map(|r| r.tokens)
-            .sum();
-        lanes.push(DeviceReport {
-            device: i,
-            dispatched: d.dispatched,
-            completed,
-            dropped: d.records.len() - completed,
-            goodput_tokens_per_s: tokens as f64 / span_s,
-            utilization: if duration_cycles > 0.0 {
-                d.busy_cycles() / duration_cycles
+        let lane = d.lane(i, duration_cycles);
+        // Fleet lanes sum the device lanes: budgets, stalls, and counts
+        // add, and the byte peaks are per-device maxima taken at
+        // different local instants, so their sum bounds any fleet-wide
+        // simultaneous figure. The two means add weighted terms: a
+        // device's residency counts over its *busy* share of the fleet
+        // span (a device that drained early, or idled forward waiting for
+        // arrivals, held nothing in those windows), its budget
+        // utilization by its step count (renormalized below).
+        report.pool.absorb(&PoolReport {
+            mean_resident_bytes: if duration_cycles > 0.0 {
+                lane.pool.mean_resident_bytes * d.pool.busy_span_cycles() / duration_cycles
             } else {
                 0.0
             },
-            energy_joules: d.energy_pj * 1e-12,
-            pool: lane_pool,
-            preempt: lane_preempt,
-            handoff: lane_handoff,
-            steps: lane_steps,
-            prefix: lane_prefix,
+            ..lane.pool
         });
-        // Fleet aggregates: budgets and stalls add; the byte peaks are
-        // per-device maxima taken at different local instants, so their
-        // sum is an upper bound on any fleet-wide simultaneous figure.
-        // Means are weighted onto the fleet span by each device's *busy*
-        // span: a device that drained early — or whose clock merely
-        // idled forward waiting for arrivals — held nothing resident in
-        // those windows and must not count as if it did.
-        pool.budget_bytes += lane_pool.budget_bytes;
-        pool.peak_resident_bytes += lane_pool.peak_resident_bytes;
-        pool.peak_reserved_bytes += lane_pool.peak_reserved_bytes;
-        if duration_cycles > 0.0 {
-            pool.mean_resident_bytes +=
-                lane_pool.mean_resident_bytes * d.pool.busy_span_cycles() / duration_cycles;
-        }
-        pool.busy_span_seconds += lane_pool.busy_span_seconds;
-        pool.admission_stall_seconds += lane_pool.admission_stall_seconds;
-        preempt.preemptions += lane_preempt.preemptions;
-        preempt.swap_out_bytes += lane_preempt.swap_out_bytes;
-        preempt.swap_in_bytes += lane_preempt.swap_in_bytes;
-        preempt.swap_seconds += lane_preempt.swap_seconds;
-        preempt.recompute_seconds += lane_preempt.recompute_seconds;
-        preempt.peak_swap_held_bytes += lane_preempt.peak_swap_held_bytes;
-        // Handoff sums: out lanes live on source devices, in lanes on
-        // destinations; across a drained fleet `bytes_out == bytes_in`
-        // (the in-flight peak is a per-device maximum like the others).
-        handoff.handoffs_out += lane_handoff.handoffs_out;
-        handoff.handoffs_in += lane_handoff.handoffs_in;
-        handoff.bytes_out += lane_handoff.bytes_out;
-        handoff.bytes_in += lane_handoff.bytes_in;
-        handoff.link_seconds += lane_handoff.link_seconds;
-        handoff.peak_in_flight_bytes += lane_handoff.peak_in_flight_bytes;
-        // Step counts add; the budget utilization is each device's mean
-        // weighted by its step count (renormalized below).
-        steps.steps += lane_steps.steps;
-        steps.prefill_steps += lane_steps.prefill_steps;
-        steps.decode_steps += lane_steps.decode_steps;
-        steps.mixed_steps += lane_steps.mixed_steps;
-        steps.mean_budget_utilization +=
-            lane_steps.mean_budget_utilization * lane_steps.steps as f64;
-        prefix.hits += lane_prefix.hits;
-        prefix.misses += lane_prefix.misses;
-        prefix.reused_tokens += lane_prefix.reused_tokens;
-        prefix.reclaimed += lane_prefix.reclaimed;
-        prefix.reclaimed_bytes += lane_prefix.reclaimed_bytes;
+        report.steps.absorb(&StepReport {
+            mean_budget_utilization: lane.steps.mean_budget_utilization * lane.steps.steps as f64,
+            ..lane.steps
+        });
+        report.preempt.absorb(&lane.preempt);
+        report.handoff.absorb(&lane.handoff);
+        report.prefix.absorb(&lane.prefix);
+        report.devices.push(lane);
         energy_pj += d.energy_pj;
         decode_invocations += d.decode_invocations;
         decode_streams += d.decode_streams;
         if let Some(log) = d.log.take() {
             device_logs.push(log);
         }
-        records.append(&mut d.records);
+        report.records.append(&mut d.records);
     }
-    records.sort_by_key(|r| r.request.id);
-    if steps.steps > 0 {
-        steps.mean_budget_utilization /= steps.steps as f64;
+    if report.steps.steps > 0 {
+        report.steps.mean_budget_utilization /= report.steps.steps as f64;
     }
-    let mean_decode_batch = if decode_invocations == 0 {
-        0.0
-    } else {
-        decode_streams as f64 / decode_invocations as f64
+    report.energy_joules = energy_pj * 1e-12;
+    if decode_invocations > 0 {
+        report.mean_decode_batch = decode_streams as f64 / decode_invocations as f64;
+    }
+    report.records.sort_by_key(|r| r.request.id);
+    let completed: Vec<&RequestRecord> = report.records.iter().filter(|r| r.completed()).collect();
+    let latency = |cycles: fn(&RequestRecord) -> f64| {
+        LatencyStats::from_cycles(&completed.iter().map(|r| cycles(r)).collect::<Vec<_>>())
     };
-    let report = ServeReport::summarize(
-        name,
-        records,
-        RunTotals {
-            duration_cycles,
-            mean_decode_batch,
-            peak_concurrency,
-            energy_pj,
-            offered_rps: workload.offered_rps(),
-            preempt,
-            handoff,
-            steps,
-            prefix,
-        },
-        pool,
-        lanes,
-    );
+    let met: Vec<&RequestRecord> = completed.iter().copied().filter(|r| r.slo_met()).collect();
+    let tokens = |rs: &[&RequestRecord]| rs.iter().map(|r| r.tokens).sum::<usize>() as f64;
+    let span = report.duration_seconds.max(1e-12);
+    report.ttft = latency(RequestRecord::ttft_cycles);
+    report.tpot = latency(RequestRecord::tpot_cycles);
+    report.e2e = latency(RequestRecord::e2e_cycles);
+    report.goodput_tokens_per_s = tokens(&completed) / span;
+    report.slo_met = met.len();
+    report.slo_goodput_tokens_per_s = tokens(&met) / span;
+    report.throughput_rps = completed.len() as f64 / span;
+    report.completed = completed.len();
+    report.dropped = report.records.len() - completed.len();
     let run_trace = trace.then(|| {
         // Merge the route log and the per-device logs (each individually
         // in emission order) by the explicit `(cycle, device, kind, seq)`

@@ -148,13 +148,13 @@
 //! (decoded tokens per second of completed requests), request throughput,
 //! mean decode coalescing, peak concurrency, pool occupancy, and energy.
 //!
-//! **Recording.** The traced entry points ([`ServeSim::run_traced`],
-//! [`ServeSim::run_fleet_profiles_traced`]) additionally return a
-//! [`RunTrace`]: the materialized workload plus the cycle-ordered
-//! [`TraceEvent`] stream (routes, admissions, drops, steps, preemptions)
-//! the run emitted. The `mcbp-trace` crate serializes, replays, and
-//! phase-samples these histories; untraced runs allocate no event storage
-//! and behave bit-identically to before.
+//! **Recording.** A [`RunSpec`] marked [`RunSpec::traced`] makes
+//! [`ServeSim::run_spec`] also return a [`RunTrace`]: the materialized
+//! workload plus the cycle-ordered [`TraceEvent`] stream (routes,
+//! handoffs, admissions, drops, steps, preemptions) the run emitted. The
+//! `mcbp-trace` crate serializes, replays, and phase-samples these
+//! histories; untraced runs allocate no event storage and behave
+//! bit-identically to before.
 //!
 //! # Example
 //!
@@ -207,7 +207,7 @@ pub use preempt::{EvictionPolicy, HandoffLedger, PreemptConfig, SwapLedger, HOST
 pub use profile::{DeviceProfile, DeviceRole};
 pub use record::{RunTrace, TraceEvent};
 pub use report::{
-    DeviceReport, HandoffReport, LatencyStats, PoolReport, PreemptReport, PrefixReport, RunTotals,
+    DeviceReport, HandoffReport, LatencyStats, PoolReport, PreemptReport, PrefixReport,
     ServeReport, StepReport,
 };
 pub use request::{

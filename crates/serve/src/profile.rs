@@ -8,8 +8,8 @@
 //! (different KV footprints per admitted stream), per-device KV-pool
 //! budgets, and per-device host links. A [`DeviceProfile`] carries
 //! exactly those four axes plus a relative `throughput` weight, and
-//! [`crate::ServeSim::run_fleet_profiles`] builds each simulated device
-//! from its own profile.
+//! [`crate::ServeSim::run_spec`] with a [`crate::RunSpec::fleet`] spec
+//! builds each simulated device from its own profile.
 //!
 //! Every field except `throughput` is an `Option` whose `None` means
 //! *inherit the [`crate::ServeSim`]'s own configuration* — so a fleet of
@@ -23,7 +23,7 @@
 //! use mcbp_model::LlmConfig;
 //! use mcbp_serve::{
 //!     ArrivalProcess, ContinuousBatchScheduler, DeviceProfile, DispatchPolicy, LoadGenerator,
-//!     ServeConfig, ServeSim,
+//!     RunSpec, ServeConfig, ServeSim,
 //! };
 //! use mcbp_sim::{McbpConfig, McbpSim};
 //! use mcbp_workloads::{SparsityProfile, Task, TraceContext, WeightGenerator};
@@ -46,10 +46,14 @@
 //! let workload = LoadGenerator::uniform(
 //!     Task::cola(), 6, ArrivalProcess::ClosedLoop { concurrency: 6 },
 //! ).generate();
-//! let report = sim.run_fleet_profiles(
-//!     &workload, &fleet, DispatchPolicy::WeightedJsq,
-//!     &mut || Box::new(ContinuousBatchScheduler::new()),
-//! );
+//! let report = sim
+//!     .run_spec(
+//!         &workload,
+//!         RunSpec::fleet(&fleet, DispatchPolicy::WeightedJsq),
+//!         &mut || Box::new(ContinuousBatchScheduler::new()),
+//!     )
+//!     .expect("a valid fleet and workload")
+//!     .report;
 //! assert_eq!(report.completed, 6);
 //! assert_eq!(report.devices.len(), 2);
 //! ```
@@ -115,13 +119,16 @@ pub struct DeviceProfile<'a> {
     pub accel: Option<&'a dyn Accelerator>,
     /// BGPP attention-keep ratio for this device (`None` = the
     /// simulator's template keep). A lower keep shrinks every admitted
-    /// stream's KV reservation on this device only.
+    /// stream's KV reservation on this device only. Must lie in `(0, 1]`
+    /// (see [`ServeConfigError::InvalidKeep`]).
     pub attention_keep: Option<f64>,
     /// KV-pool byte budget for this device (`None` = the
     /// [`crate::ServeConfig::kv_budget_bytes`] behavior).
     pub kv_budget_bytes: Option<u64>,
-    /// Host-link bandwidth for this device's swap transfers, in bytes per
-    /// core cycle (`None` = the [`crate::PreemptConfig`] default).
+    /// Host-link bandwidth for this device's swap and handoff transfers,
+    /// in bytes per core cycle (`None` = the [`crate::PreemptConfig`]
+    /// default). Must be positive; `f64::INFINITY` is an instant link
+    /// (see [`ServeConfigError::NonPositiveHostLink`]).
     pub host_link_bytes_per_cycle: Option<f64>,
     /// Relative throughput weight used by weighted-JSQ dispatch: queued
     /// tokens are divided by this figure, so a device at `0.5` is treated
@@ -213,8 +220,9 @@ impl<'a> DeviceProfile<'a> {
     }
 
     /// Validates a fleet of profiles: the fleet must be non-empty, every
-    /// throughput weight finite and positive, and — when any device is
-    /// role-specialized — both stages must be covered (at least one
+    /// throughput weight finite and positive, every host-link override
+    /// positive, every keep override in `(0, 1]`, and — when any device
+    /// is role-specialized — both stages must be covered (at least one
     /// prefill-capable and one decode-capable device), or prompts (or
     /// their decode continuations) would have nowhere to go.
     ///
@@ -222,6 +230,8 @@ impl<'a> DeviceProfile<'a> {
     ///
     /// Returns [`ServeConfigError::EmptyFleet`],
     /// [`ServeConfigError::ZeroThroughputProfile`],
+    /// [`ServeConfigError::NonPositiveHostLink`],
+    /// [`ServeConfigError::InvalidKeep`],
     /// [`ServeConfigError::NoPrefillCapableDevice`], or
     /// [`ServeConfigError::NoDecodeCapableDevice`].
     pub fn validate_fleet(profiles: &[DeviceProfile<'_>]) -> Result<(), ServeConfigError> {
@@ -231,6 +241,16 @@ impl<'a> DeviceProfile<'a> {
         for (device, p) in profiles.iter().enumerate() {
             if !(p.throughput.is_finite() && p.throughput > 0.0) {
                 return Err(ServeConfigError::ZeroThroughputProfile { device });
+            }
+            if p.host_link_bytes_per_cycle
+                .is_some_and(|l| l.is_nan() || l <= 0.0)
+            {
+                return Err(ServeConfigError::NonPositiveHostLink {
+                    device: Some(device),
+                });
+            }
+            if p.attention_keep.is_some_and(|k| !(k > 0.0 && k <= 1.0)) {
+                return Err(ServeConfigError::InvalidKeep { device });
             }
         }
         if !profiles.iter().any(|p| p.role.can_prefill()) {
@@ -311,6 +331,28 @@ mod tests {
             DeviceProfile::validate_fleet(&nan),
             Err(ServeConfigError::ZeroThroughputProfile { device: 0 })
         );
+        for link in [0.0, -1.0, f64::NAN] {
+            let fleet = [
+                DeviceProfile::uniform(),
+                DeviceProfile::uniform().with_host_link(link),
+            ];
+            assert_eq!(
+                DeviceProfile::validate_fleet(&fleet),
+                Err(ServeConfigError::NonPositiveHostLink { device: Some(1) })
+            );
+        }
+        for keep in [0.0, -0.5, 1.5, f64::NAN, f64::INFINITY] {
+            let fleet = [DeviceProfile::uniform().with_keep(keep)];
+            assert_eq!(
+                DeviceProfile::validate_fleet(&fleet),
+                Err(ServeConfigError::InvalidKeep { device: 0 })
+            );
+        }
+        // An infinite link is an instant transfer, and keep 1 is dense.
+        let edge = [DeviceProfile::uniform()
+            .with_host_link(f64::INFINITY)
+            .with_keep(1.0)];
+        assert!(DeviceProfile::validate_fleet(&edge).is_ok());
         assert!(DeviceProfile::validate_fleet(&[DeviceProfile::uniform()]).is_ok());
     }
 }

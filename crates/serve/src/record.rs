@@ -3,9 +3,9 @@
 //! The simulator is deterministic — a `(workload, scheduler, config)`
 //! triple replays bit-identically — so a recorded run is fully described
 //! by its materialized [`Workload`] plus the event stream the devices
-//! emitted while serving it. [`ServeSim::run_traced`] and
-//! [`ServeSim::run_fleet_profiles_traced`] return that history as a
-//! [`RunTrace`] alongside the ordinary [`crate::ServeReport`]; the
+//! emitted while serving it. [`ServeSim::run_spec`] with a
+//! [`RunSpec::traced`] spec returns that history as a [`RunTrace`]
+//! alongside the ordinary [`crate::ServeReport`]; the
 //! `mcbp-trace` crate serializes it to a compact on-disk format, replays
 //! it (re-driving the simulation from the recorded arrivals, bypassing
 //! the [`crate::LoadGenerator`] RNG), and samples it into weighted
@@ -30,11 +30,11 @@
 //!   [`crate::DeviceRole::Prefill`] device for a decode-capable device
 //!   over the modeled host link.
 //!
-//! Recording is opt-in per run: the untraced entry points allocate no
-//! event storage and stay bit-exact with their pre-hook behavior.
+//! Recording is opt-in per run: untraced runs allocate no event storage
+//! and stay bit-exact with their pre-hook behavior.
 //!
-//! [`ServeSim::run_traced`]: crate::ServeSim::run_traced
-//! [`ServeSim::run_fleet_profiles_traced`]: crate::ServeSim::run_fleet_profiles_traced
+//! [`ServeSim::run_spec`]: crate::ServeSim::run_spec
+//! [`RunSpec::traced`]: crate::RunSpec::traced
 
 use crate::arrival::Workload;
 use crate::request::RequestId;

@@ -1,6 +1,6 @@
-use std::fmt;
+use std::fmt::{self, Write as _};
 
-use crate::request::{Priority, RequestRecord};
+use crate::request::{Priority, RequestRecord, SharedPrefix, SloSpec};
 use crate::CLOCK_HZ;
 
 /// Latency distribution summary in seconds.
@@ -19,19 +19,6 @@ pub struct LatencyStats {
 }
 
 impl LatencyStats {
-    /// The stats as a JSON object string.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"mean\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"max\":{}}}",
-            json_f64(self.mean),
-            json_f64(self.p50),
-            json_f64(self.p95),
-            json_f64(self.p99),
-            json_f64(self.max)
-        )
-    }
-
     /// Summarizes a sample of latencies given in cycles.
     #[must_use]
     pub fn from_cycles(samples: &[f64]) -> Self {
@@ -57,34 +44,148 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[rank - 1]
 }
 
-/// An `f64` as a JSON value: Rust's shortest round-trip decimal for
-/// finite numbers, `null` for infinities and NaN (JSON has no spelling
-/// for them — closed-loop releases carry infinite arrival cycles).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
+/// A value as it appears in a report's JSON.
+trait Json {
+    fn write_json(&self, out: &mut String);
+}
+
+/// Writes one JSON object, each key beside its value.
+fn object(out: &mut String, fields: &[(&str, &dyn Json)]) {
+    out.push('{');
+    for (i, (key, value)) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        key.write_json(out);
+        out.push(':');
+        value.write_json(out);
+    }
+    out.push('}');
+}
+
+macro_rules! json_as_display {
+    ($($t:ty),*) => {$(
+        impl Json for $t {
+            fn write_json(&self, out: &mut String) {
+                // Writing into a `String` cannot fail.
+                let _ = write!(out, "{self}");
+            }
+        }
+    )*};
+}
+
+json_as_display!(u64, usize, bool);
+
+/// Rust's shortest round-trip decimal for finite numbers, `null` for
+/// infinities and NaN (JSON has no spelling for them — closed-loop
+/// releases carry infinite arrival cycles).
+impl Json for f64 {
+    fn write_json(&self, out: &mut String) {
+        if self.is_finite() {
+            let _ = write!(out, "{self}");
+        } else {
+            out.push_str("null");
+        }
     }
 }
 
-/// A string as a quoted, escaped JSON value.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// A quoted, escaped string.
+impl Json for str {
+    fn write_json(&self, out: &mut String) {
+        out.push('"');
+        for c in self.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+}
+
+impl Json for String {
+    fn write_json(&self, out: &mut String) {
+        self.as_str().write_json(out);
+    }
+}
+
+impl<T: Json + ?Sized> Json for &T {
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
+}
+
+impl<T: Json> Json for Option<T> {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
         }
     }
-    out.push('"');
-    out
+}
+
+impl<T: Json> Json for Vec<T> {
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, v) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            v.write_json(out);
+        }
+        out.push(']');
+    }
+}
+
+/// Implements [`Json`] for report types whose JSON object lists their
+/// fields, in the given order, under their own names. The pattern
+/// destructures each value, so a field missing from its list fails to
+/// compile.
+macro_rules! json_fields {
+    ($($t:ident { $($field:ident),* $(,)? })*) => {$(
+        impl Json for $t {
+            fn write_json(&self, out: &mut String) {
+                let $t { $($field),* } = self;
+                object(out, &[$((stringify!($field), $field)),*]);
+            }
+        }
+    )*};
+}
+
+json_fields! {
+    LatencyStats { mean, p50, p95, p99, max }
+    PoolReport {
+        budget_bytes, peak_resident_bytes, peak_reserved_bytes, mean_resident_bytes,
+        busy_span_seconds, admission_stall_seconds,
+    }
+    PreemptReport {
+        preemptions, swap_out_bytes, swap_in_bytes, swap_seconds, recompute_seconds,
+        peak_swap_held_bytes,
+    }
+    HandoffReport {
+        handoffs_out, handoffs_in, bytes_out, bytes_in, link_seconds, peak_in_flight_bytes,
+    }
+    StepReport { steps, prefill_steps, decode_steps, mixed_steps, mean_budget_utilization }
+    PrefixReport { hits, misses, reused_tokens, reclaimed, reclaimed_bytes }
+    DeviceReport {
+        device, dispatched, completed, dropped, goodput_tokens_per_s, utilization,
+        energy_joules, pool, preempt, handoff, steps, prefix,
+    }
+    ServeReport {
+        scheduler, completed, dropped, duration_seconds, ttft, tpot, e2e,
+        goodput_tokens_per_s, slo_met, slo_goodput_tokens_per_s, throughput_rps,
+        offered_rps, mean_decode_batch, peak_concurrency, energy_joules,
+        pool, preempt, handoff, steps, prefix, devices, records,
+    }
+    SharedPrefix { id, tokens }
+    SloSpec { ttft_s, tpot_s }
 }
 
 /// KV-cache-pool statistics of one serving run.
@@ -120,20 +221,16 @@ impl PoolReport {
         self.peak_resident_bytes as f64 / self.budget_bytes as f64
     }
 
-    /// The pool statistics as a JSON object string.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"budget_bytes\":{},\"peak_resident_bytes\":{},\"peak_reserved_bytes\":{},\
-             \"mean_resident_bytes\":{},\"busy_span_seconds\":{},\
-             \"admission_stall_seconds\":{}}}",
-            self.budget_bytes,
-            self.peak_resident_bytes,
-            self.peak_reserved_bytes,
-            json_f64(self.mean_resident_bytes),
-            json_f64(self.busy_span_seconds),
-            json_f64(self.admission_stall_seconds)
-        )
+    /// Adds `lane` field by field. The residency mean adds too, so a
+    /// fleet fold passes each device's mean already weighted onto the
+    /// fleet span.
+    pub(crate) fn absorb(&mut self, lane: &Self) {
+        self.budget_bytes += lane.budget_bytes;
+        self.peak_resident_bytes += lane.peak_resident_bytes;
+        self.peak_reserved_bytes += lane.peak_reserved_bytes;
+        self.mean_resident_bytes += lane.mean_resident_bytes;
+        self.busy_span_seconds += lane.busy_span_seconds;
+        self.admission_stall_seconds += lane.admission_stall_seconds;
     }
 }
 
@@ -163,19 +260,14 @@ impl PreemptReport {
         self.swap_seconds + self.recompute_seconds
     }
 
-    /// The preemption statistics as a JSON object string.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"preemptions\":{},\"swap_out_bytes\":{},\"swap_in_bytes\":{},\
-             \"swap_seconds\":{},\"recompute_seconds\":{},\"peak_swap_held_bytes\":{}}}",
-            self.preemptions,
-            self.swap_out_bytes,
-            self.swap_in_bytes,
-            json_f64(self.swap_seconds),
-            json_f64(self.recompute_seconds),
-            self.peak_swap_held_bytes
-        )
+    /// Adds `lane` field by field.
+    pub(crate) fn absorb(&mut self, lane: &Self) {
+        self.preemptions += lane.preemptions;
+        self.swap_out_bytes += lane.swap_out_bytes;
+        self.swap_in_bytes += lane.swap_in_bytes;
+        self.swap_seconds += lane.swap_seconds;
+        self.recompute_seconds += lane.recompute_seconds;
+        self.peak_swap_held_bytes += lane.peak_swap_held_bytes;
     }
 }
 
@@ -213,19 +305,14 @@ impl HandoffReport {
         self.handoffs_out + self.handoffs_in > 0
     }
 
-    /// The handoff statistics as a JSON object string.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"handoffs_out\":{},\"handoffs_in\":{},\"bytes_out\":{},\"bytes_in\":{},\
-             \"link_seconds\":{},\"peak_in_flight_bytes\":{}}}",
-            self.handoffs_out,
-            self.handoffs_in,
-            self.bytes_out,
-            self.bytes_in,
-            json_f64(self.link_seconds),
-            self.peak_in_flight_bytes
-        )
+    /// Adds `lane` field by field.
+    pub(crate) fn absorb(&mut self, lane: &Self) {
+        self.handoffs_out += lane.handoffs_out;
+        self.handoffs_in += lane.handoffs_in;
+        self.bytes_out += lane.bytes_out;
+        self.bytes_in += lane.bytes_in;
+        self.link_seconds += lane.link_seconds;
+        self.peak_in_flight_bytes += lane.peak_in_flight_bytes;
     }
 }
 
@@ -260,18 +347,15 @@ impl StepReport {
         self.mixed_steps as f64 / self.steps as f64
     }
 
-    /// The step-composition statistics as a JSON object string.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"steps\":{},\"prefill_steps\":{},\"decode_steps\":{},\"mixed_steps\":{},\
-             \"mean_budget_utilization\":{}}}",
-            self.steps,
-            self.prefill_steps,
-            self.decode_steps,
-            self.mixed_steps,
-            json_f64(self.mean_budget_utilization)
-        )
+    /// Adds `lane` field by field. The utilization mean adds too, so a
+    /// fleet fold passes each device's mean already weighted by its step
+    /// count and divides the sum by the total steps.
+    pub(crate) fn absorb(&mut self, lane: &Self) {
+        self.steps += lane.steps;
+        self.prefill_steps += lane.prefill_steps;
+        self.decode_steps += lane.decode_steps;
+        self.mixed_steps += lane.mixed_steps;
+        self.mean_budget_utilization += lane.mean_budget_utilization;
     }
 }
 
@@ -312,14 +396,13 @@ impl PrefixReport {
         self.hits + self.misses + self.reclaimed > 0
     }
 
-    /// The prefix-cache statistics as a JSON object string.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"hits\":{},\"misses\":{},\"reused_tokens\":{},\"reclaimed\":{},\
-             \"reclaimed_bytes\":{}}}",
-            self.hits, self.misses, self.reused_tokens, self.reclaimed, self.reclaimed_bytes
-        )
+    /// Adds `lane` field by field.
+    pub(crate) fn absorb(&mut self, lane: &Self) {
+        self.hits += lane.hits;
+        self.misses += lane.misses;
+        self.reused_tokens += lane.reused_tokens;
+        self.reclaimed += lane.reclaimed;
+        self.reclaimed_bytes += lane.reclaimed_bytes;
     }
 }
 
@@ -358,32 +441,8 @@ pub struct DeviceReport {
     pub prefix: PrefixReport,
 }
 
-impl DeviceReport {
-    /// The device lane as a JSON object string.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"device\":{},\"dispatched\":{},\"completed\":{},\"dropped\":{},\
-             \"goodput_tokens_per_s\":{},\"utilization\":{},\"energy_joules\":{},\
-             \"pool\":{},\"preempt\":{},\"handoff\":{},\"steps\":{},\"prefix\":{}}}",
-            self.device,
-            self.dispatched,
-            self.completed,
-            self.dropped,
-            json_f64(self.goodput_tokens_per_s),
-            json_f64(self.utilization),
-            json_f64(self.energy_joules),
-            self.pool.to_json(),
-            self.preempt.to_json(),
-            self.handoff.to_json(),
-            self.steps.to_json(),
-            self.prefix.to_json()
-        )
-    }
-}
-
 /// Aggregate results of one serving simulation.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServeReport {
     /// Scheduler that produced the run.
     pub scheduler: String,
@@ -452,102 +511,7 @@ pub struct ServeReport {
     pub records: Vec<RequestRecord>,
 }
 
-/// Raw run counters the simulator hands to [`ServeReport::summarize`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RunTotals {
-    /// Simulated duration in cycles.
-    pub duration_cycles: f64,
-    /// Mean decode-streams coalesced per batched decode invocation.
-    pub mean_decode_batch: f64,
-    /// Peak in-flight concurrency.
-    pub peak_concurrency: usize,
-    /// Total accelerator energy in pJ.
-    pub energy_pj: f64,
-    /// Offered arrival rate (open-loop traces only).
-    pub offered_rps: Option<f64>,
-    /// Preemption/eviction statistics.
-    pub preempt: PreemptReport,
-    /// Prefill→decode handoff statistics.
-    pub handoff: HandoffReport,
-    /// Per-step composition statistics.
-    pub steps: StepReport,
-    /// Prefix-cache statistics.
-    pub prefix: PrefixReport,
-}
-
 impl ServeReport {
-    /// Builds the latency/goodput aggregates from per-request records.
-    #[must_use]
-    pub fn summarize(
-        scheduler: String,
-        records: Vec<RequestRecord>,
-        totals: RunTotals,
-        pool: PoolReport,
-        devices: Vec<DeviceReport>,
-    ) -> Self {
-        let RunTotals {
-            duration_cycles,
-            mean_decode_batch,
-            peak_concurrency,
-            energy_pj,
-            offered_rps,
-            preempt,
-            handoff,
-            steps,
-            prefix,
-        } = totals;
-        let completed: Vec<&RequestRecord> = records.iter().filter(|r| r.completed()).collect();
-        let slo_met = completed.iter().filter(|r| r.slo_met()).count();
-        let slo_tokens: usize = completed
-            .iter()
-            .filter(|r| r.slo_met())
-            .map(|r| r.tokens)
-            .sum();
-        let dropped = records.len() - completed.len();
-        let duration_seconds = duration_cycles / CLOCK_HZ;
-        let tokens: usize = completed.iter().map(|r| r.tokens).sum();
-        let ttft = LatencyStats::from_cycles(
-            &completed
-                .iter()
-                .map(|r| r.ttft_cycles())
-                .collect::<Vec<_>>(),
-        );
-        let tpot = LatencyStats::from_cycles(
-            &completed
-                .iter()
-                .map(|r| r.tpot_cycles())
-                .collect::<Vec<_>>(),
-        );
-        let e2e = LatencyStats::from_cycles(
-            &completed.iter().map(|r| r.e2e_cycles()).collect::<Vec<_>>(),
-        );
-        let span = duration_seconds.max(1e-12);
-        ServeReport {
-            scheduler,
-            completed: completed.len(),
-            dropped,
-            duration_seconds,
-            ttft,
-            tpot,
-            e2e,
-            goodput_tokens_per_s: tokens as f64 / span,
-            slo_met,
-            slo_goodput_tokens_per_s: slo_tokens as f64 / span,
-            throughput_rps: completed.len() as f64 / span,
-            offered_rps,
-            mean_decode_batch,
-            peak_concurrency,
-            energy_joules: energy_pj * 1e-12,
-            pool,
-            preempt,
-            handoff,
-            steps,
-            prefix,
-            devices,
-            records,
-        }
-    }
-
     /// SLO-aware goodput restricted to one priority class: decoded tokens
     /// of SLO-met completed requests of that class per second of simulated
     /// time.
@@ -572,81 +536,44 @@ impl ServeReport {
     }
 
     /// The full report as a JSON string (no external dependencies): every
-    /// aggregate, the device/pool/preempt/step/prefix lanes, and the
-    /// per-request records, so full-vs-sampled comparisons and cross-PR
-    /// report diffs are scriptable (`jq`, Python, …). Non-finite values
-    /// (e.g. the infinite arrival cycles of closed-loop releases)
-    /// serialize as `null`; everything else round-trips exactly.
+    /// aggregate, the pool/preempt/handoff/step/prefix lanes, the
+    /// per-device lanes, and the per-request records, so full-vs-sampled
+    /// comparisons and cross-PR report diffs are scriptable (`jq`, Python,
+    /// …). Non-finite values (e.g. the infinite arrival cycles of
+    /// closed-loop releases) serialize as `null`; everything else
+    /// round-trips exactly.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let devices: Vec<String> = self.devices.iter().map(DeviceReport::to_json).collect();
-        let records: Vec<String> = self.records.iter().map(record_json).collect();
-        format!(
-            "{{\"scheduler\":{},\"completed\":{},\"dropped\":{},\"duration_seconds\":{},\
-             \"ttft\":{},\"tpot\":{},\"e2e\":{},\
-             \"goodput_tokens_per_s\":{},\"slo_met\":{},\"slo_goodput_tokens_per_s\":{},\
-             \"throughput_rps\":{},\"offered_rps\":{},\"mean_decode_batch\":{},\
-             \"peak_concurrency\":{},\"energy_joules\":{},\
-             \"pool\":{},\"preempt\":{},\"handoff\":{},\"steps\":{},\"prefix\":{},\
-             \"devices\":[{}],\"records\":[{}]}}",
-            json_str(&self.scheduler),
-            self.completed,
-            self.dropped,
-            json_f64(self.duration_seconds),
-            self.ttft.to_json(),
-            self.tpot.to_json(),
-            self.e2e.to_json(),
-            json_f64(self.goodput_tokens_per_s),
-            self.slo_met,
-            json_f64(self.slo_goodput_tokens_per_s),
-            json_f64(self.throughput_rps),
-            self.offered_rps.map_or("null".to_string(), json_f64),
-            json_f64(self.mean_decode_batch),
-            self.peak_concurrency,
-            json_f64(self.energy_joules),
-            self.pool.to_json(),
-            self.preempt.to_json(),
-            self.handoff.to_json(),
-            self.steps.to_json(),
-            self.prefix.to_json(),
-            devices.join(","),
-            records.join(",")
-        )
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
     }
 }
 
-/// One per-request record as a JSON object string.
-fn record_json(r: &RequestRecord) -> String {
-    let req = &r.request;
-    let prefix = req.prefix.map_or("null".to_string(), |p| {
-        format!("{{\"id\":{},\"tokens\":{}}}", p.id, p.tokens)
-    });
-    let slo = format!(
-        "{{\"ttft_s\":{},\"tpot_s\":{}}}",
-        req.slo.ttft_s.map_or("null".to_string(), json_f64),
-        req.slo.tpot_s.map_or("null".to_string(), json_f64)
-    );
-    format!(
-        "{{\"id\":{},\"task\":{},\"priority\":{},\"state\":{},\
-         \"prompt_len\":{},\"decode_len\":{},\"prefix\":{},\"slo\":{},\
-         \"arrival_cycle\":{},\"admitted_cycle\":{},\"first_token_cycle\":{},\
-         \"completed_cycle\":{},\"tokens\":{},\"preemptions\":{},\"slo_met\":{}}}",
-        req.id,
-        json_str(req.task_name),
-        json_str(&format!("{:?}", req.priority)),
-        json_str(&format!("{:?}", r.state)),
-        req.prompt_len,
-        req.decode_len,
-        prefix,
-        slo,
-        json_f64(req.arrival_cycle),
-        json_f64(r.admitted_cycle),
-        json_f64(r.first_token_cycle),
-        json_f64(r.completed_cycle),
-        r.tokens,
-        r.preemptions,
-        r.slo_met()
-    )
+impl Json for RequestRecord {
+    fn write_json(&self, out: &mut String) {
+        let req = &self.request;
+        object(
+            out,
+            &[
+                ("id", &req.id),
+                ("task", &req.task_name),
+                ("priority", &format!("{:?}", req.priority)),
+                ("state", &format!("{:?}", self.state)),
+                ("prompt_len", &req.prompt_len),
+                ("decode_len", &req.decode_len),
+                ("prefix", &req.prefix),
+                ("slo", &req.slo),
+                ("arrival_cycle", &req.arrival_cycle),
+                ("admitted_cycle", &self.admitted_cycle),
+                ("first_token_cycle", &self.first_token_cycle),
+                ("completed_cycle", &self.completed_cycle),
+                ("tokens", &self.tokens),
+                ("preemptions", &self.preemptions),
+                ("slo_met", &self.slo_met()),
+            ],
+        );
+    }
 }
 
 impl fmt::Display for ServeReport {
@@ -910,23 +837,16 @@ mod tests {
             tokens: 4,
             preemptions: 0,
         };
-        let report = ServeReport::summarize(
-            "test \"sched\"".to_string(),
-            vec![record],
-            RunTotals {
-                duration_cycles: 30.0,
-                mean_decode_batch: 1.0,
-                peak_concurrency: 1,
-                energy_pj: 5.0,
-                offered_rps: None,
-                preempt: PreemptReport::default(),
-                handoff: HandoffReport::default(),
-                steps: StepReport::default(),
-                prefix: PrefixReport::default(),
-            },
-            PoolReport::default(),
-            vec![],
-        );
+        let report = ServeReport {
+            scheduler: "test \"sched\"".to_string(),
+            completed: 1,
+            duration_seconds: 30.0 / CLOCK_HZ,
+            mean_decode_batch: 1.0,
+            peak_concurrency: 1,
+            energy_joules: 5e-12,
+            records: vec![record],
+            ..ServeReport::default()
+        };
         let json = report.to_json();
         assert!(json_ok(&json), "malformed JSON: {json}");
         assert!(json.contains("\"arrival_cycle\":null"), "{json}");
@@ -964,9 +884,11 @@ mod tests {
                 reclaimed_bytes: 0,
             },
         };
-        assert!(json_ok(&lane.to_json()), "{}", lane.to_json());
-        assert!(lane.to_json().contains("\"prefix\":{\"hits\":2"));
-        assert!(lane.to_json().contains("\"handoff\":{\"handoffs_out\":2"));
+        let mut json = String::new();
+        lane.write_json(&mut json);
+        assert!(json_ok(&json), "{json}");
+        assert!(json.contains("\"prefix\":{\"hits\":2"));
+        assert!(json.contains("\"handoff\":{\"handoffs_out\":2"));
     }
 
     #[test]

@@ -58,9 +58,11 @@ use crate::preempt::{EvictionPolicy, HandoffLedger, PreemptConfig, SwapLedger};
 use crate::profile::{DeviceProfile, DeviceRole};
 use crate::record::{RunTrace, TraceEvent};
 use crate::report::{
-    HandoffReport, PoolReport, PreemptReport, PrefixReport, ServeReport, StepReport,
+    DeviceReport, HandoffReport, PoolReport, PreemptReport, PrefixReport, ServeReport, StepReport,
 };
-use crate::request::{PrefixId, Priority, Request, RequestId, RequestRecord, RequestState};
+use crate::request::{
+    PrefixId, Priority, Request, RequestId, RequestRecord, RequestState, SharedPrefix,
+};
 use crate::scheduler::{SchedEntry, SchedView, Scheduler};
 
 /// Configuration of one serving simulation.
@@ -171,6 +173,21 @@ pub enum ServeConfigError {
         /// Index of the offending profile within the fleet.
         device: usize,
     },
+    /// A host-link bandwidth is zero, negative, or NaN: a swap or handoff
+    /// transfer would divide by it. (`f64::INFINITY` is legal: an instant
+    /// link.)
+    NonPositiveHostLink {
+        /// Index of the offending profile within the fleet, or `None` for
+        /// [`ServeConfig::preempt`].
+        device: Option<usize>,
+    },
+    /// A [`DeviceProfile`]'s attention-keep ratio is not in `(0, 1]`: it
+    /// scales every KV reservation on that device, and a NaN keep would
+    /// silently switch admission control off.
+    InvalidKeep {
+        /// Index of the offending profile within the fleet.
+        device: usize,
+    },
     /// A role-specialized fleet with no prefill-capable device: stage-1
     /// routing would have no candidate and every prompt would wedge.
     NoPrefillCapableDevice,
@@ -236,6 +253,22 @@ impl std::fmt::Display for ServeConfigError {
                 "device profile {device} has a non-positive throughput weight: \
                  weighted dispatch would divide by it"
             ),
+            ServeConfigError::NonPositiveHostLink {
+                device: Some(device),
+            } => write!(
+                f,
+                "device profile {device} has a non-positive host link bandwidth: \
+                 transfers would divide by it"
+            ),
+            ServeConfigError::NonPositiveHostLink { device: None } => write!(
+                f,
+                "host link bandwidth must be positive: transfers would divide by it"
+            ),
+            ServeConfigError::InvalidKeep { device } => write!(
+                f,
+                "device profile {device} has an attention keep outside (0, 1]: \
+                 it would mis-scale every KV reservation"
+            ),
             ServeConfigError::NoPrefillCapableDevice => write!(
                 f,
                 "a role-specialized fleet needs at least one prefill-capable \
@@ -291,6 +324,10 @@ impl ServeConfig {
         if self.fleet_workers == Some(0) {
             return Err(ServeConfigError::ZeroFleetWorkers);
         }
+        let link = self.preempt.host_link_bytes_per_cycle;
+        if link.is_nan() || link <= 0.0 {
+            return Err(ServeConfigError::NonPositiveHostLink { device: None });
+        }
         match (self.step_token_budget, self.prefill_chunk) {
             (Some(0), _) => Err(ServeConfigError::ZeroStepTokenBudget),
             (Some(_), None) => Err(ServeConfigError::BudgetRequiresChunkedPrefill),
@@ -302,12 +339,16 @@ impl ServeConfig {
     }
 }
 
-/// A request in flight: its timeline and prefill/decode progress. KV byte
-/// accounting lives in the [`KvCachePool`] ledger, keyed by request id.
+/// A request's progress: its timeline and prefill/decode cursors. It is
+/// the one record a request carries through every state — active,
+/// suspended, handed off, landing — and each of those wraps it with only
+/// what that state adds. KV byte accounting lives in the [`KvCachePool`]
+/// ledger, keyed by request id.
 #[derive(Debug, Clone)]
-struct InFlight {
-    req: Request,
-    /// First admission instant (preserved across preemptions).
+pub(crate) struct InFlight {
+    pub(crate) req: Request,
+    /// First admission instant, preserved across preemptions and
+    /// handoffs (TTFT and stall accounting span them).
     admitted_cycle: f64,
     /// The prefill cursor: tokens of `prefill_target` already processed.
     prefill_done: usize,
@@ -325,12 +366,29 @@ struct InFlight {
     /// admission on; a materializing request from the step whose cursor
     /// crossed the prefix boundary).
     prefix_bytes: u64,
+    /// Decode cursor: tokens generated so far.
     tokens: usize,
+    /// Clock at which token 1 was generated (the TTFT endpoint).
     first_token_cycle: f64,
     preemptions: usize,
 }
 
 impl InFlight {
+    /// A fresh admission at `now`: nothing prefilled or generated yet.
+    fn new(req: Request, now: f64) -> Self {
+        InFlight {
+            prefill_target: req.prompt_len,
+            req,
+            admitted_cycle: now,
+            prefill_done: 0,
+            replay_tokens: 0,
+            prefix_bytes: 0,
+            tokens: 0,
+            first_token_cycle: 0.0,
+            preemptions: 0,
+        }
+    }
+
     fn context(&self) -> usize {
         self.req.prompt_len + self.tokens
     }
@@ -338,26 +396,36 @@ impl InFlight {
     fn prefilled(&self) -> bool {
         self.prefill_done >= self.prefill_target
     }
+
+    /// Tokens still to process: the unprefilled part of the prefill
+    /// target plus the undecoded tokens.
+    fn remaining_tokens(&self) -> usize {
+        (self.prefill_target - self.prefill_done) + (self.req.decode_len - self.tokens)
+    }
+
+    /// The request's record as it leaves the device at `cycle`.
+    fn into_record(self, state: RequestState, cycle: f64) -> RequestRecord {
+        RequestRecord {
+            state,
+            admitted_cycle: self.admitted_cycle,
+            first_token_cycle: self.first_token_cycle,
+            completed_cycle: cycle,
+            tokens: self.tokens,
+            preemptions: self.preemptions,
+            request: self.req,
+        }
+    }
 }
 
 /// An evicted request waiting to resume: its progress survives eviction,
 /// only its device-resident KV is gone (discarded or held in host memory).
-#[derive(Debug, Clone)]
+/// The prefill cursor stays as it was at eviction: a swap victim resumes
+/// from it (its prefix KV is preserved in host memory); a
+/// drop-and-recompute victim restarts from zero and replays exactly the
+/// completed tokens (plus its generated tokens when the prefill had
+/// finished).
 struct Suspended {
-    req: Request,
-    admitted_cycle: f64,
-    tokens: usize,
-    first_token_cycle: f64,
-    preemptions: usize,
-    /// Prefill cursor at eviction. A swap victim resumes from it (its
-    /// prefix KV is preserved in host memory); a drop-and-recompute
-    /// victim restarts from zero and replays exactly this many completed
-    /// tokens (plus its generated tokens when the prefill had finished).
-    prefill_done: usize,
-    /// Prefill target at eviction.
-    prefill_target: usize,
-    /// Replay attribution the victim still carried at eviction.
-    replay_tokens: usize,
+    flight: InFlight,
     /// KV bytes held in the swap ledger (0 under drop-and-recompute).
     swapped_bytes: u64,
 }
@@ -366,68 +434,26 @@ impl Suspended {
     /// Queue-ordering arrival key (closed-loop releases carry infinity;
     /// fall back to the first admission instant).
     fn arrival_key(&self) -> f64 {
-        if self.req.arrival_cycle.is_finite() {
-            self.req.arrival_cycle
+        let f = &self.flight;
+        if f.req.arrival_cycle.is_finite() {
+            f.req.arrival_cycle
         } else {
-            self.admitted_cycle
+            f.admitted_cycle
         }
     }
 }
 
-/// Running preemption counters (cycles; converted to seconds at the end).
-#[derive(Debug, Clone, Copy, Default)]
-struct PreemptTally {
-    preemptions: u64,
-    swap_out_bytes: u64,
-    swap_in_bytes: u64,
-    swap_cycles: f64,
-    recompute_cycles: f64,
-}
-
-/// Running prefix-cache counters (see [`crate::PrefixReport`]).
-#[derive(Debug, Clone, Copy, Default)]
-struct PrefixTally {
-    hits: u64,
-    misses: u64,
-    reused_tokens: u64,
-    reclaimed: u64,
-    reclaimed_bytes: u64,
-}
-
-/// Running per-step composition counters (see [`crate::StepReport`]).
-#[derive(Debug, Clone, Copy, Default)]
-struct StepTally {
-    steps: u64,
-    prefill_steps: u64,
-    decode_steps: u64,
-    mixed_steps: u64,
-    /// Sum over budgeted steps of `executed tokens / budget`.
-    utilization_sum: f64,
-}
-
-/// A decode continuation leaving a [`DeviceRole::Prefill`] device: the
-/// request plus the resume state its decode device needs. The prefill
-/// device generates the request's *first token* before handing off (the
-/// DistServe cut point — TTFT is produced entirely on the prefill side,
-/// so it never waits on a second admission into the decode pool). The
-/// source has already released the KV from its pool (and dropped its
-/// prefix reference) — the bytes exist only here until the driver routes
-/// the handoff and the destination's [`HandoffLedger`] takes custody.
+/// A decode continuation leaving a [`DeviceRole::Prefill`] device. The
+/// prefill device generates the request's *first token* before handing
+/// off (the DistServe cut point — TTFT is produced entirely on the
+/// prefill side, so it never waits on a second admission into the decode
+/// pool), so the flight carries a finished prefill and a decode cursor of
+/// at least 1. The source has already released the KV from its pool (and
+/// dropped its prefix reference) — the bytes exist only here until the
+/// driver routes the handoff and the destination's [`HandoffLedger`]
+/// takes custody.
 pub(crate) struct HandoffOut {
-    pub(crate) req: Request,
-    /// First admission instant on the source device (preserved across
-    /// the handoff — TTFT and stall accounting span both devices).
-    pub(crate) admitted_cycle: f64,
-    pub(crate) preemptions: usize,
-    /// Completed prefill cursor (the decode device receives finished KV
-    /// and replays nothing).
-    pub(crate) prefill_done: usize,
-    /// Decode cursor at departure: ≥ 1, since the source produces the
-    /// first token before the continuation becomes extractable.
-    pub(crate) tokens: usize,
-    /// Source-device clock at which token 1 was generated (the request's
-    /// TTFT endpoint, preserved verbatim across the handoff).
-    pub(crate) first_token_cycle: f64,
+    pub(crate) flight: InFlight,
     /// Full KV bytes leaving the source pool — prefilled prompt plus the
     /// generated-token suffix: the request's own residency plus its
     /// shared-prefix share.
@@ -442,34 +468,10 @@ pub(crate) struct HandoffOut {
 /// device's active or suspended set, so victim selection cannot touch it
 /// (the ledger panics are the double-free backstop).
 struct PendingHandoff {
-    req: Request,
-    admitted_cycle: f64,
-    preemptions: usize,
-    prefill_done: usize,
-    /// Decode cursor carried from the source (≥ 1; see
-    /// [`HandoffOut::tokens`]).
-    tokens: usize,
-    /// Source-side first-token instant (see
-    /// [`HandoffOut::first_token_cycle`]).
-    first_token_cycle: f64,
+    flight: InFlight,
     /// Destination clock at which the transfer completes and the request
     /// becomes admissible.
     arrival_cycle: f64,
-}
-
-/// Running prefill→decode transfer counters (see
-/// [`crate::HandoffReport`]). Outbound fields are attributed to the
-/// source device, inbound fields to the destination.
-#[derive(Debug, Clone, Copy, Default)]
-struct HandoffTally {
-    out: u64,
-    in_count: u64,
-    bytes_out: u64,
-    bytes_in: u64,
-    /// Host-link cycles the outbound transfers occupied (the transfers
-    /// overlap compute DMA-style — latency lands on the request, not on
-    /// the device clock — so these cycles are attribution, not stall).
-    link_cycles: f64,
 }
 
 /// `a` strictly ahead of `b` in admission order: higher priority first,
@@ -488,7 +490,7 @@ fn admits_before(a: (Priority, f64, RequestId), b: (Priority, f64, RequestId)) -
 /// prefix length — one [`PrefixId`] must always name one prefix.
 fn resident_reuse(
     pool: &KvCachePool,
-    prefix: Option<crate::request::SharedPrefix>,
+    prefix: Option<SharedPrefix>,
 ) -> Option<(PrefixId, usize, u64)> {
     let p = prefix.filter(|p| p.tokens > 0)?;
     let e = pool.prefix(p.id)?;
@@ -500,17 +502,27 @@ fn resident_reuse(
     Some((p.id, e.tokens, e.bytes))
 }
 
-/// Where a reusing request's prefill cursor starts: at the prefix
-/// boundary, except that a request with no decode work left must keep at
-/// least one unshared prompt token to execute (a fully-shared prompt-only
-/// request would otherwise never appear in any scheduler view).
-fn reuse_start(prefix_tokens: usize, target: usize, decode_remaining: usize) -> usize {
-    let start = prefix_tokens.min(target);
-    if decode_remaining == 0 {
+/// Where a prefill of `target` tokens starts on `pool`, as `(cursor,
+/// prefix bytes, prefix id)`: past a resident prefix the request declares,
+/// else at zero. A request with no decode work left keeps at least one
+/// unshared prompt token to execute (a fully-shared prompt-only request
+/// would otherwise never appear in any scheduler view).
+fn prefill_start(
+    pool: &KvCachePool,
+    prefix: Option<SharedPrefix>,
+    target: usize,
+    decode_remaining: usize,
+) -> (usize, u64, Option<PrefixId>) {
+    let Some((id, tokens, bytes)) = resident_reuse(pool, prefix) else {
+        return (0, 0, None);
+    };
+    let start = tokens.min(target);
+    let start = if decode_remaining == 0 {
         start.min(target.saturating_sub(1))
     } else {
         start
-    }
+    };
+    (start, bytes, Some(id))
 }
 
 /// The discrete-event serving simulator: drives an [`Accelerator`] under
@@ -604,6 +616,10 @@ impl<'a> ServeSim<'a> {
     /// returned trace's workload under the same configuration and
     /// scheduler reproduces the report bit-exactly (the replay contract
     /// the `mcbp-trace` crate asserts).
+    ///
+    /// Kept only because the `simbench/` benchmark calls it; new code
+    /// records through [`ServeSim::run_spec`] with
+    /// [`crate::RunSpec::traced`].
     ///
     /// # Panics
     ///
@@ -729,15 +745,29 @@ pub(crate) struct DeviceSim<'s, 'a> {
     /// (handoffs are accounted at their destination: the driver books
     /// `handoff_out` when it routes, admission books `handoff_in`).
     handoff_ledger: HandoffLedger,
-    tally: PreemptTally,
-    handoff_tally: HandoffTally,
     /// Finished prefills awaiting stage-2 routing (drained by the
     /// driver's dispatch fixpoint).
     outbound: Vec<HandoffOut>,
     /// Routed handoffs riding the link toward this device.
     inbound: Vec<PendingHandoff>,
-    step_tally: StepTally,
-    prefix_tally: PrefixTally,
+    /// Counts, kept straight in their report lanes; [`DeviceSim::lane`]
+    /// adds the ledgers' byte totals and the cycle sums below.
+    preemptions: u64,
+    prefix: PrefixReport,
+    steps: StepReport,
+    /// Handoff counts: outbound ones on the source, inbound ones on the
+    /// destination.
+    handoff: HandoffReport,
+    /// Cycle sums, converted to seconds once in [`DeviceSim::lane`]:
+    /// swap-transfer stalls, replayed prefill, outbound host-link
+    /// occupancy (handoffs overlap compute DMA-style — latency lands on
+    /// the request, not on the device clock — so these cycles are
+    /// attribution, not stall), and budgeted steps' executed-token
+    /// utilization of the step budget.
+    swap_cycles: f64,
+    recompute_cycles: f64,
+    link_cycles: f64,
+    budget_utilization_sum: f64,
     /// Requests dispatched to this device, arrival-sorted, not yet
     /// admitted.
     pending: VecDeque<Request>,
@@ -799,12 +829,16 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
             throughput: profile.throughput,
             ledger: SwapLedger::new(),
             handoff_ledger: HandoffLedger::new(),
-            tally: PreemptTally::default(),
-            handoff_tally: HandoffTally::default(),
             outbound: Vec::new(),
             inbound: Vec::new(),
-            step_tally: StepTally::default(),
-            prefix_tally: PrefixTally::default(),
+            preemptions: 0,
+            prefix: PrefixReport::default(),
+            steps: StepReport::default(),
+            handoff: HandoffReport::default(),
+            swap_cycles: 0.0,
+            recompute_cycles: 0.0,
+            link_cycles: 0.0,
+            budget_utilization_sum: 0.0,
             pending: VecDeque::new(),
             active: Vec::new(),
             suspended: Vec::new(),
@@ -893,62 +927,51 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
         }
     }
 
-    /// Books one outbound handoff on the source device's tally.
+    /// Books one outbound handoff on the source device's lane.
     pub(crate) fn note_handoff_out(&mut self, bytes: u64, link_cycles: f64) {
-        self.handoff_tally.out += 1;
-        self.handoff_tally.bytes_out += bytes;
-        self.handoff_tally.link_cycles += link_cycles;
+        self.handoff.handoffs_out += 1;
+        self.handoff.bytes_out += bytes;
+        self.link_cycles += link_cycles;
     }
 
     /// Accepts a routed handoff: the ledger takes custody of the bytes
     /// and the request queues for admission once the transfer lands at
     /// `arrival_cycle`.
     pub(crate) fn receive_handoff(&mut self, h: HandoffOut, arrival_cycle: f64) {
-        self.handoff_ledger.handoff_out(h.req.id, h.bytes);
-        let entry = PendingHandoff {
-            req: h.req,
-            admitted_cycle: h.admitted_cycle,
-            preemptions: h.preemptions,
-            prefill_done: h.prefill_done,
-            tokens: h.tokens,
-            first_token_cycle: h.first_token_cycle,
-            arrival_cycle,
-        };
+        let id = h.flight.req.id;
+        self.handoff_ledger.handoff_out(id, h.bytes);
         // Arrival-sorted like `pending`; ids break exact-cycle ties so
         // insertion order never matters.
         let pos = self
             .inbound
             .iter()
-            .rposition(|p| (p.arrival_cycle, p.req.id) <= (entry.arrival_cycle, entry.req.id))
+            .rposition(|p| (p.arrival_cycle, p.flight.req.id) <= (arrival_cycle, id))
             .map_or(0, |i| i + 1);
+        let entry = PendingHandoff {
+            flight: h.flight,
+            arrival_cycle,
+        };
         self.inbound.insert(pos, entry);
     }
 
     /// Remaining work queued on this device, in tokens (pending prompts
-    /// and decodes, plus unprefilled and undecoded tokens of admitted and
-    /// suspended requests) — the join-shortest-queue dispatch metric.
+    /// and decodes, plus the unprefilled and undecoded tokens of
+    /// admitted, suspended, and inbound requests) — the
+    /// join-shortest-queue dispatch metric.
     pub(crate) fn queued_tokens(&self) -> u64 {
         let pending: usize = self
             .pending
             .iter()
             .map(|r| r.prompt_len + r.decode_len)
             .sum();
-        let active: usize = self
+        let flights: usize = self
             .active
             .iter()
-            .map(|f| (f.prefill_target - f.prefill_done) + (f.req.decode_len - f.tokens))
+            .chain(self.suspended.iter().map(|s| &s.flight))
+            .chain(self.inbound.iter().map(|h| &h.flight))
+            .map(InFlight::remaining_tokens)
             .sum();
-        let suspended: usize = self
-            .suspended
-            .iter()
-            .map(|s| (s.prefill_target - s.prefill_done) + (s.req.decode_len - s.tokens))
-            .sum();
-        let inbound: usize = self
-            .inbound
-            .iter()
-            .map(|h| h.req.decode_len - h.tokens)
-            .sum();
-        (pending + active + suspended + inbound) as u64
+        (pending + flights) as u64
     }
 
     /// Runs admission to a fixpoint: resumable victims and arrived queue
@@ -1021,23 +1044,18 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
                 i += 1;
                 continue;
             }
-            let f = self.active.remove(i);
-            let freed = self.pool.release(f.req.id);
-            let bytes = freed.resident_bytes + f.prefix_bytes;
-            if f.prefix_bytes > 0 {
-                self.pool
-                    .unref_prefix(f.req.prefix.expect("prefix bytes imply a prefix").id);
-            }
+            let mut f = self.active.remove(i);
+            debug_assert_eq!(f.prefill_done, f.prefill_target, "cursor past its target");
+            let bytes = self.release(&f) + f.prefix_bytes;
             self.conc_log.push((self.now, -1));
+            // The decode device receives finished KV: it replays nothing
+            // and holds no prefix reference.
+            f.replay_tokens = 0;
+            f.prefix_bytes = 0;
             self.outbound.push(HandoffOut {
-                prefill_done: f.prefill_target,
-                tokens: f.tokens,
-                first_token_cycle: f.first_token_cycle,
+                flight: f,
                 bytes,
                 ready_cycle: self.now,
-                req: f.req,
-                admitted_cycle: f.admitted_cycle,
-                preemptions: f.preemptions,
             });
             extracted += 1;
         }
@@ -1059,7 +1077,7 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
                 .suspended
                 .iter()
                 .enumerate()
-                .map(|(i, s)| (i, (s.req.priority, s.arrival_key(), s.req.id)))
+                .map(|(i, s)| (i, (s.flight.req.priority, s.arrival_key(), s.flight.req.id)))
                 .reduce(|a, b| if admits_before(b.1, a.1) { b } else { a });
             let best_pend = self
                 .pending
@@ -1075,7 +1093,7 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
                 .iter()
                 .enumerate()
                 .filter(|(_, h)| h.arrival_cycle <= self.now)
-                .map(|(i, h)| (i, (h.req.priority, h.arrival_cycle, h.req.id)))
+                .map(|(i, h)| (i, (h.flight.req.priority, h.arrival_cycle, h.flight.req.id)))
                 .reduce(|a, b| if admits_before(b.1, a.1) { b } else { a });
             // Ids are unique, so keys never tie exactly; prefer whichever
             // source is strictly ahead in admission order.
@@ -1087,114 +1105,82 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
             .into_iter()
             .flatten()
             .reduce(|a, b| if admits_before(b.1 .1, a.1 .1) { b } else { a });
-            let Some((source, _)) = best else { break };
-            if matches!(source, Source::Handoff) {
-                let (idx, (prio, _, id)) = best_hand.expect("handoff candidate");
-                let full_peak =
-                    request_kv_bytes(&model, self.inbound[idx].req.final_context(), keep);
-                if !self.pool.can_ever_fit(full_peak) {
-                    // The decode pool can never hold this request's peak
-                    // (the prefill pool could): the handoff is dropped on
-                    // arrival, its transferred bytes discarded.
-                    let h = self.inbound.remove(idx);
-                    self.handoff_tally.in_count += 1;
-                    self.handoff_tally.bytes_in += self.handoff_ledger.handoff_in(id);
-                    // The source already delivered token 1; the drop
-                    // record keeps that truth (its TTFT stands, only the
-                    // continuation is lost).
-                    self.records.push(RequestRecord {
-                        state: RequestState::Dropped,
-                        admitted_cycle: h.admitted_cycle,
-                        first_token_cycle: h.first_token_cycle,
-                        completed_cycle: self.now,
-                        tokens: h.tokens,
-                        preemptions: h.preemptions,
-                        request: h.req,
-                    });
-                    *drops += 1;
-                    self.record(TraceEvent::Drop {
-                        device: self.device,
-                        cycle: self.now,
-                        id,
-                    });
-                    continue;
-                }
-                if !self.try_admit(id, full_peak, prio, None) {
-                    break;
-                }
-                let h = self.inbound.remove(idx);
-                // The ledger hands the transferred bytes over: they
-                // become resident KV under the fresh reservation (capped
-                // by it — the pools may disagree on the keep ratio).
-                let bytes = self.handoff_ledger.handoff_in(id);
-                self.handoff_tally.in_count += 1;
-                self.handoff_tally.bytes_in += bytes;
-                self.pool.grow_resident(id, bytes.min(full_peak));
-                self.active.push(InFlight {
-                    prefill_done: h.prefill_done,
-                    prefill_target: h.prefill_done,
-                    replay_tokens: 0,
-                    prefix_bytes: 0,
-                    req: h.req,
-                    admitted_cycle: h.admitted_cycle,
-                    tokens: h.tokens,
-                    first_token_cycle: h.first_token_cycle,
-                    preemptions: h.preemptions,
-                });
-                self.conc_log.push((self.now, 1));
-                self.record(TraceEvent::Admit {
-                    device: self.device,
-                    cycle: self.now,
-                    id,
-                    resumed: true,
-                    reused_prefix_tokens: 0,
-                    queue_depth: self.pending.len() as u32,
-                });
-                continue;
-            }
-            let resume = matches!(source, Source::Suspended);
-            if resume {
-                let (idx, (prio, _, id)) = best_susp.expect("resume candidate");
-                let full_peak =
-                    request_kv_bytes(&model, self.suspended[idx].req.final_context(), keep);
-                if self.suspended[idx].swapped_bytes > 0 {
-                    // Swap resume. The cursor reuse holds only if the
-                    // victim's own cursor already sat past its prefix at
-                    // eviction (its swapped KV is then suffix-only) and
-                    // the prefix entry survived reclamation.
-                    let s = &self.suspended[idx];
-                    let reuse = resident_reuse(&self.pool, s.req.prefix)
-                        .filter(|&(_, tokens, _)| s.prefill_done >= tokens);
-                    let had_prefix = s
-                        .req
-                        .prefix
-                        .is_some_and(|p| p.tokens > 0 && s.prefill_done >= p.tokens);
-                    let (pbytes, keep_id) = match reuse {
-                        Some((pid, _, bytes)) => (bytes, Some(pid)),
-                        None => (0, None),
-                    };
-                    if !self.try_admit(id, full_peak - pbytes, prio, keep_id) {
+            let Some((source, (idx, (prio, _, id)))) = best else {
+                break;
+            };
+            match source {
+                Source::Handoff => {
+                    let full_peak = request_kv_bytes(
+                        &model,
+                        self.inbound[idx].flight.req.final_context(),
+                        keep,
+                    );
+                    if !self.pool.can_ever_fit(full_peak) {
+                        // The decode pool can never hold this request's
+                        // peak (the prefill pool could): the handoff is
+                        // dropped on arrival, its transferred bytes
+                        // discarded. The source already delivered token
+                        // 1, so the drop record keeps its TTFT; only the
+                        // continuation is lost.
+                        let h = self.inbound.remove(idx);
+                        self.land_handoff(id);
+                        self.drop_request(h.flight, drops);
+                        continue;
+                    }
+                    if !self.try_admit(id, full_peak, prio, None) {
                         break;
                     }
-                    let s = self.suspended.remove(idx);
-                    // Swap-in: restore the victim's KV from host memory,
-                    // stalling the device for the transfer.
-                    let cycles = self.preempt.transfer_cycles(s.swapped_bytes);
-                    self.now += cycles;
-                    self.pool.advance_clock(self.now);
-                    self.tally.swap_cycles += cycles;
-                    self.tally.swap_in_bytes += self.ledger.swap_in(s.req.id);
-                    self.pool.grow_resident(s.req.id, s.swapped_bytes);
-                    // One resume state per case; only the cursor fields
-                    // differ between them.
-                    let (prefill_done, prefill_target, replay_tokens, prefix_bytes) =
+                    let h = self.inbound.remove(idx);
+                    // The ledger hands the transferred bytes over: they
+                    // become resident KV under the fresh reservation
+                    // (capped by it — the pools may disagree on the keep
+                    // ratio).
+                    let bytes = self.land_handoff(id);
+                    self.pool.grow_resident(id, bytes.min(full_peak));
+                    self.activate(h.flight, true, 0);
+                }
+                Source::Suspended => {
+                    let s = &self.suspended[idx];
+                    let f = &s.flight;
+                    let full_peak = request_kv_bytes(&model, f.req.final_context(), keep);
+                    if s.swapped_bytes > 0 {
+                        // Swap resume. The cursor reuse holds only if the
+                        // victim's own cursor already sat past its prefix
+                        // at eviction (its swapped KV is then suffix-only)
+                        // and the prefix entry survived reclamation.
+                        let reuse = resident_reuse(&self.pool, f.req.prefix)
+                            .filter(|&(_, tokens, _)| f.prefill_done >= tokens);
+                        let had_prefix = f
+                            .req
+                            .prefix
+                            .is_some_and(|p| p.tokens > 0 && f.prefill_done >= p.tokens);
+                        let (pbytes, keep_id) = match reuse {
+                            Some((pid, _, bytes)) => (bytes, Some(pid)),
+                            None => (0, None),
+                        };
+                        if !self.try_admit(id, full_peak - pbytes, prio, keep_id) {
+                            break;
+                        }
+                        let Suspended {
+                            flight: mut f,
+                            swapped_bytes,
+                        } = self.suspended.remove(idx);
+                        // Swap-in: restore the victim's KV from host
+                        // memory, stalling the device for the transfer.
+                        let cycles = self.preempt.transfer_cycles(swapped_bytes);
+                        self.now += cycles;
+                        self.pool.advance_clock(self.now);
+                        self.swap_cycles += cycles;
+                        self.ledger.swap_in(id);
+                        self.pool.grow_resident(id, swapped_bytes);
+                        let mut reused = 0;
                         if let Some(pid) = keep_id {
                             // The prefix KV survives in the shared ledger:
                             // the cursor stands, only the suffix was moved.
                             self.pool.ref_prefix(pid);
-                            self.prefix_tally.reused_tokens +=
-                                s.req.prefix.expect("reuse implies a prefix").tokens as u64;
-                            (s.prefill_done, s.prefill_target, s.replay_tokens, pbytes)
+                            reused = f.req.prefix.expect("reuse implies a prefix").tokens;
+                            self.prefix.reused_tokens += reused as u64;
+                            f.prefix_bytes = pbytes;
                         } else if had_prefix {
                             // The victim's cursor leaned on a prefix that
                             // was reclaimed while it was suspended: the
@@ -1202,172 +1188,147 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
                             // prefix region must be re-prefilled
                             // (attributed as replay — the reclamation
                             // discarded computed KV).
-                            let target = if s.prefill_done >= s.prefill_target {
-                                s.req.prefix.expect("had_prefix").tokens
+                            let target = if f.prefilled() {
+                                f.req.prefix.expect("had_prefix").tokens
                             } else {
-                                s.prefill_target
+                                f.prefill_target
                             };
-                            (0, target, s.prefill_done.min(target), 0)
+                            f.replay_tokens = f.prefill_done.min(target);
+                            f.prefill_target = target;
+                            f.prefill_done = 0;
+                        }
+                        // Otherwise no prefix is involved: the cursor
+                        // survives because the swapped KV covers
+                        // everything done.
+                        self.activate(f, true, reused);
+                    } else {
+                        // Drop-and-recompute resume: the prefill restarts
+                        // over prompt + generated tokens. Replay covers
+                        // exactly the work the eviction discarded:
+                        // everything when the prefill had completed,
+                        // otherwise only the chunks it had finished (or
+                        // the replay region it was already re-running). A
+                        // still-resident prefix lets the restart skip the
+                        // shared region entirely.
+                        let target = f.req.prompt_len + f.tokens;
+                        let replay = if f.prefilled() {
+                            target
                         } else {
-                            // No prefix involvement: the cursor survives
-                            // because the swapped KV covers everything done.
-                            (s.prefill_done, s.prefill_target, s.replay_tokens, 0)
+                            f.replay_tokens.max(f.prefill_done).min(target)
                         };
-                    let reused_prefix_tokens = if keep_id.is_some() {
-                        s.req.prefix.map_or(0, |p| p.tokens as u32)
-                    } else {
-                        0
-                    };
-                    self.active.push(InFlight {
-                        prefill_done,
-                        prefill_target,
-                        replay_tokens,
-                        prefix_bytes,
-                        req: s.req,
-                        admitted_cycle: s.admitted_cycle,
-                        tokens: s.tokens,
-                        first_token_cycle: s.first_token_cycle,
-                        preemptions: s.preemptions,
-                    });
-                    self.conc_log.push((self.now, 1));
-                    self.record(TraceEvent::Admit {
-                        device: self.device,
-                        cycle: self.now,
-                        id,
-                        resumed: true,
-                        reused_prefix_tokens,
-                        queue_depth: self.pending.len() as u32,
-                    });
-                } else {
-                    // Drop-and-recompute resume: the prefill restarts over
-                    // prompt + generated tokens. Replay covers exactly the
-                    // work the eviction discarded: everything when the
-                    // prefill had completed, otherwise only the chunks it
-                    // had finished (or the replay region it was already
-                    // re-running). A still-resident prefix lets the
-                    // restart skip the shared region entirely.
-                    let s = &self.suspended[idx];
-                    let target = s.req.prompt_len + s.tokens;
-                    let replay = if s.prefill_done >= s.prefill_target {
-                        target
-                    } else {
-                        s.replay_tokens.max(s.prefill_done).min(target)
-                    };
-                    let remaining_decode = s.req.decode_len - s.tokens;
-                    let reuse = resident_reuse(&self.pool, s.req.prefix);
-                    let (start, pbytes, keep_id) = match reuse {
-                        Some((pid, tokens, bytes)) => (
-                            reuse_start(tokens, target, remaining_decode),
-                            bytes,
-                            Some(pid),
-                        ),
-                        None => (0, 0, None),
-                    };
+                        let (start, pbytes, keep_id) = prefill_start(
+                            &self.pool,
+                            f.req.prefix,
+                            target,
+                            f.req.decode_len - f.tokens,
+                        );
+                        if !self.try_admit(id, full_peak - pbytes, prio, keep_id) {
+                            break;
+                        }
+                        let mut f = self.suspended.remove(idx).flight;
+                        if let Some(pid) = keep_id {
+                            self.pool.ref_prefix(pid);
+                            self.prefix.reused_tokens += start as u64;
+                        }
+                        f.prefill_done = start;
+                        f.prefill_target = target;
+                        f.replay_tokens = replay;
+                        f.prefix_bytes = pbytes;
+                        self.activate(f, true, start);
+                    }
+                }
+                Source::Pending => {
+                    let req = &self.pending[idx];
+                    let full_peak = request_kv_bytes(&model, req.final_context(), keep);
+                    // The drop decision uses the *full* peak: a request
+                    // must be servable even when its prefix is not
+                    // resident, or a later prefix reclamation could leave
+                    // an admitted-only-by-reuse victim unable to ever
+                    // resume.
+                    if !self.pool.can_ever_fit(full_peak) {
+                        let req = self.pending.remove(idx).expect("index valid");
+                        // Never admitted: every instant on the record is
+                        // the drop's.
+                        let never = InFlight {
+                            first_token_cycle: self.now,
+                            ..InFlight::new(req, self.now)
+                        };
+                        self.drop_request(never, drops);
+                        continue;
+                    }
+                    // Prefix reuse: a resident prefix lets the prompt
+                    // reserve only its unshared suffix and start the
+                    // prefill past the shared region.
+                    let declared = req.prefix.is_some_and(|p| p.tokens > 0);
+                    let (start, pbytes, keep_id) =
+                        prefill_start(&self.pool, req.prefix, req.prompt_len, req.decode_len);
                     if !self.try_admit(id, full_peak - pbytes, prio, keep_id) {
                         break;
                     }
-                    let s = self.suspended.remove(idx);
+                    let req = self.pending.remove(idx).expect("index valid");
                     if let Some(pid) = keep_id {
                         self.pool.ref_prefix(pid);
-                        self.prefix_tally.reused_tokens += start as u64;
+                        self.prefix.hits += 1;
+                        self.prefix.reused_tokens += start as u64;
+                    } else if declared {
+                        self.prefix.misses += 1;
                     }
-                    self.active.push(InFlight {
+                    let f = InFlight {
                         prefill_done: start,
-                        prefill_target: target,
-                        replay_tokens: replay,
                         prefix_bytes: pbytes,
-                        req: s.req,
-                        admitted_cycle: s.admitted_cycle,
-                        tokens: s.tokens,
-                        first_token_cycle: s.first_token_cycle,
-                        preemptions: s.preemptions,
-                    });
-                    self.conc_log.push((self.now, 1));
-                    self.record(TraceEvent::Admit {
-                        device: self.device,
-                        cycle: self.now,
-                        id,
-                        resumed: true,
-                        reused_prefix_tokens: start as u32,
-                        queue_depth: self.pending.len() as u32,
-                    });
+                        ..InFlight::new(req, self.now)
+                    };
+                    self.activate(f, false, start);
                 }
-            } else {
-                let (idx, (prio, _, id)) = best_pend.expect("pending candidate");
-                let full_peak = request_kv_bytes(&model, self.pending[idx].final_context(), keep);
-                // The drop decision uses the *full* peak: a request must
-                // be servable even when its prefix is not resident, or a
-                // later prefix reclamation could leave an admitted-only-
-                // by-reuse victim unable to ever resume.
-                if !self.pool.can_ever_fit(full_peak) {
-                    let req = self.pending.remove(idx).expect("index valid");
-                    let dropped = req.id;
-                    self.records.push(RequestRecord {
-                        state: RequestState::Dropped,
-                        admitted_cycle: self.now,
-                        first_token_cycle: self.now,
-                        completed_cycle: self.now,
-                        tokens: 0,
-                        preemptions: 0,
-                        request: req,
-                    });
-                    *drops += 1;
-                    self.record(TraceEvent::Drop {
-                        device: self.device,
-                        cycle: self.now,
-                        id: dropped,
-                    });
-                    continue;
-                }
-                // Prefix reuse: a resident prefix lets the prompt reserve
-                // only its unshared suffix and start the prefill past the
-                // shared region.
-                let req = &self.pending[idx];
-                let reuse = resident_reuse(&self.pool, req.prefix);
-                let remaining_decode = req.decode_len;
-                let target = req.prompt_len;
-                let declared = req.prefix.is_some_and(|p| p.tokens > 0);
-                let (start, pbytes, keep_id) = match reuse {
-                    Some((pid, tokens, bytes)) => (
-                        reuse_start(tokens, target, remaining_decode),
-                        bytes,
-                        Some(pid),
-                    ),
-                    None => (0, 0, None),
-                };
-                if !self.try_admit(id, full_peak - pbytes, prio, keep_id) {
-                    break;
-                }
-                let req = self.pending.remove(idx).expect("index valid");
-                if let Some(pid) = keep_id {
-                    self.pool.ref_prefix(pid);
-                    self.prefix_tally.hits += 1;
-                    self.prefix_tally.reused_tokens += start as u64;
-                } else if declared {
-                    self.prefix_tally.misses += 1;
-                }
-                self.active.push(InFlight {
-                    req,
-                    admitted_cycle: self.now,
-                    prefill_done: start,
-                    prefill_target: target,
-                    replay_tokens: 0,
-                    prefix_bytes: pbytes,
-                    tokens: 0,
-                    first_token_cycle: 0.0,
-                    preemptions: 0,
-                });
-                self.conc_log.push((self.now, 1));
-                self.record(TraceEvent::Admit {
-                    device: self.device,
-                    cycle: self.now,
-                    id,
-                    resumed: false,
-                    reused_prefix_tokens: start as u32,
-                    queue_depth: self.pending.len() as u32,
-                });
             }
         }
+    }
+
+    /// Moves `f` into the active set at the current clock and logs the
+    /// admission (`resumed` for every admission but a fresh prompt's).
+    fn activate(&mut self, f: InFlight, resumed: bool, reused_prefix_tokens: usize) {
+        self.record(TraceEvent::Admit {
+            device: self.device,
+            cycle: self.now,
+            id: f.req.id,
+            resumed,
+            reused_prefix_tokens: reused_prefix_tokens as u32,
+            queue_depth: self.pending.len() as u32,
+        });
+        self.active.push(f);
+        self.conc_log.push((self.now, 1));
+    }
+
+    /// Records `f` as dropped at the current clock — its peak KV can never
+    /// fit this pool — freeing one closed-loop slot.
+    fn drop_request(&mut self, f: InFlight, drops: &mut usize) {
+        self.record(TraceEvent::Drop {
+            device: self.device,
+            cycle: self.now,
+            id: f.req.id,
+        });
+        self.records
+            .push(f.into_record(RequestState::Dropped, self.now));
+        *drops += 1;
+    }
+
+    /// Takes a landed handoff's bytes out of the transfer ledger, counting
+    /// it inbound.
+    fn land_handoff(&mut self, id: RequestId) -> u64 {
+        self.handoff.handoffs_in += 1;
+        self.handoff_ledger.handoff_in(id)
+    }
+
+    /// Frees `f`'s reservation and drops its reference on its shared
+    /// prefix (the entry itself stays resident as a warm cache line).
+    /// Returns the resident bytes freed.
+    fn release(&mut self, f: &InFlight) -> u64 {
+        let freed = self.pool.release(f.req.id);
+        if f.prefix_bytes > 0 {
+            self.pool
+                .unref_prefix(f.req.prefix.expect("prefix bytes imply a prefix").id);
+        }
+        freed.resident_bytes
     }
 
     /// Reserves `peak` bytes for candidate `id`, evicting strictly
@@ -1445,48 +1406,37 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
                     .pool
                     .reclaim_unreferenced_prefix(keep_prefix)
                     .expect("feasibility guaranteed reclaimable bytes");
-                self.prefix_tally.reclaimed += 1;
-                self.prefix_tally.reclaimed_bytes += bytes;
+                self.prefix.reclaimed += 1;
+                self.prefix.reclaimed_bytes += bytes;
                 continue;
             };
-            let f = self.active.remove(victim);
-            let freed = self.pool.release(f.req.id);
-            if f.prefix_bytes > 0 {
-                // The victim's reference on its shared prefix drops with
-                // it; the entry itself stays resident (a warm cache line)
-                // and the resume path re-evaluates reuse against it.
-                self.pool
-                    .unref_prefix(f.req.prefix.expect("prefix bytes imply a prefix").id);
-            }
-            self.tally.preemptions += 1;
+            let mut f = self.active.remove(victim);
+            // The victim's prefix reference drops with it; the resume
+            // path re-evaluates reuse against the still-resident entry.
+            let freed = self.release(&f);
+            f.prefix_bytes = 0;
+            f.preemptions += 1;
+            self.preemptions += 1;
             let swapped_bytes = match self.preempt.policy {
                 EvictionPolicy::None => unreachable!("victims require a policy"),
                 EvictionPolicy::DropRecompute => 0,
                 EvictionPolicy::Swap => {
-                    if freed.resident_bytes > 0 {
+                    if freed > 0 {
                         // Swap-out: spill the victim's KV to host memory,
                         // stalling the device for the transfer.
-                        let cycles = self.preempt.transfer_cycles(freed.resident_bytes);
+                        let cycles = self.preempt.transfer_cycles(freed);
                         self.now += cycles;
                         self.pool.advance_clock(self.now);
-                        self.tally.swap_cycles += cycles;
-                        self.tally.swap_out_bytes += freed.resident_bytes;
-                        self.ledger.swap_out(f.req.id, freed.resident_bytes);
+                        self.swap_cycles += cycles;
+                        self.ledger.swap_out(f.req.id, freed);
                     }
-                    freed.resident_bytes
+                    freed
                 }
             };
             let victim_id = f.req.id;
             self.suspended.push(Suspended {
-                prefill_done: f.prefill_done,
-                prefill_target: f.prefill_target,
-                replay_tokens: f.replay_tokens,
+                flight: f,
                 swapped_bytes,
-                req: f.req,
-                admitted_cycle: f.admitted_cycle,
-                tokens: f.tokens,
-                first_token_cycle: f.first_token_cycle,
-                preemptions: f.preemptions + 1,
             });
             self.conc_log.push((self.now, -1));
             self.record(TraceEvent::Preempt {
@@ -1594,7 +1544,7 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
                 "scheduler `{}` scheduled {tokens} tokens over the {budget}-token step budget",
                 scheduler.name()
             );
-            self.step_tally.utilization_sum += tokens as f64 / budget as f64;
+            self.budget_utilization_sum += tokens as f64 / budget as f64;
         }
 
         // ---- cost the invocation (chunk + piggybacked decodes) ----
@@ -1635,11 +1585,11 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
         self.pool.advance_clock(self.now);
         self.energy_pj +=
             chunk_cost.map_or(0.0, |c| c.energy_pj) + decode_cost.map_or(0.0, |c| c.energy_pj);
-        self.step_tally.steps += 1;
+        self.steps.steps += 1;
         match (chunk_cost.is_some(), decode_cost.is_some()) {
-            (true, true) => self.step_tally.mixed_steps += 1,
-            (true, false) => self.step_tally.prefill_steps += 1,
-            (false, true) => self.step_tally.decode_steps += 1,
+            (true, true) => self.steps.mixed_steps += 1,
+            (true, false) => self.steps.prefill_steps += 1,
+            (false, true) => self.steps.decode_steps += 1,
             (false, false) => unreachable!("empty plans are rejected above"),
         }
 
@@ -1654,7 +1604,7 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
                 .iter()
                 .map(|&(_, d, u, rep)| u.min(rep).saturating_sub(d))
                 .sum();
-            self.tally.recompute_cycles += cost.cycles * replayed as f64 / taken as f64;
+            self.recompute_cycles += cost.cycles * replayed as f64 / taken as f64;
             for &(id, _, upto, _) in &spans {
                 let f = lookup_mut(&mut self.active, id);
                 f.prefill_done = upto;
@@ -1726,22 +1676,9 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
                 continue;
             }
             let f = self.active.remove(i);
-            self.pool.release(f.req.id);
-            if f.prefix_bytes > 0 {
-                // Completion drops the reference; the prefix entry stays
-                // resident as a warm cache line for future arrivals.
-                self.pool
-                    .unref_prefix(f.req.prefix.expect("prefix bytes imply a prefix").id);
-            }
-            self.records.push(RequestRecord {
-                state: RequestState::Completed,
-                admitted_cycle: f.admitted_cycle,
-                first_token_cycle: f.first_token_cycle,
-                completed_cycle: self.now,
-                tokens: f.tokens,
-                preemptions: f.preemptions,
-                request: f.req,
-            });
+            self.release(&f);
+            self.records
+                .push(f.into_record(RequestState::Completed, self.now));
             self.conc_log.push((self.now, -1));
             completions += 1;
         }
@@ -1787,79 +1724,61 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
         }
     }
 
-    /// Total device-busy cycles: executed steps plus swap stalls.
-    pub(crate) fn busy_cycles(&self) -> f64 {
-        self.busy_cycles + self.tally.swap_cycles
-    }
-
-    /// This device's KV-pool statistics (admission stall over its own
-    /// completed records).
-    pub(crate) fn pool_report(&self) -> PoolReport {
-        let stall_cycles: f64 = self
-            .records
-            .iter()
-            .filter(|r| r.completed())
-            .map(RequestRecord::admission_stall_cycles)
-            .sum();
-        PoolReport {
-            budget_bytes: self.pool.budget_bytes(),
-            peak_resident_bytes: self.pool.peak_resident_bytes(),
-            peak_reserved_bytes: self.pool.peak_reserved_bytes(),
-            mean_resident_bytes: self.pool.mean_resident_bytes(),
-            busy_span_seconds: self.pool.busy_span_cycles() / crate::CLOCK_HZ,
-            admission_stall_seconds: stall_cycles / crate::CLOCK_HZ,
-        }
-    }
-
-    /// This device's per-step composition statistics.
-    pub(crate) fn step_report(&self) -> StepReport {
-        StepReport {
-            steps: self.step_tally.steps,
-            prefill_steps: self.step_tally.prefill_steps,
-            decode_steps: self.step_tally.decode_steps,
-            mixed_steps: self.step_tally.mixed_steps,
-            mean_budget_utilization: if self.step_tally.steps == 0 {
-                0.0
+    /// This device's report lane in a fleet run of `duration_cycles`
+    /// (goodput and utilization are shares of the fleet span): its
+    /// counts, the byte totals and peaks its ledgers hold, and its cycle
+    /// sums in seconds. Outbound handoff counts sit on the source device,
+    /// inbound ones — and the transfer ledger — on the destination.
+    pub(crate) fn lane(&self, device: usize, duration_cycles: f64) -> DeviceReport {
+        let span_s = (duration_cycles / crate::CLOCK_HZ).max(1e-12);
+        let completed = || self.records.iter().filter(|r| r.completed());
+        let tokens: usize = completed().map(|r| r.tokens).sum();
+        let stall_cycles: f64 = completed().map(RequestRecord::admission_stall_cycles).sum();
+        let completed = completed().count();
+        DeviceReport {
+            device,
+            dispatched: self.dispatched,
+            completed,
+            dropped: self.records.len() - completed,
+            goodput_tokens_per_s: tokens as f64 / span_s,
+            // Busy: executed steps plus swap stalls.
+            utilization: if duration_cycles > 0.0 {
+                (self.busy_cycles + self.swap_cycles) / duration_cycles
             } else {
-                self.step_tally.utilization_sum / self.step_tally.steps as f64
+                0.0
             },
-        }
-    }
-
-    /// This device's prefix-cache statistics.
-    pub(crate) fn prefix_report(&self) -> PrefixReport {
-        PrefixReport {
-            hits: self.prefix_tally.hits,
-            misses: self.prefix_tally.misses,
-            reused_tokens: self.prefix_tally.reused_tokens,
-            reclaimed: self.prefix_tally.reclaimed,
-            reclaimed_bytes: self.prefix_tally.reclaimed_bytes,
-        }
-    }
-
-    /// This device's prefill→decode handoff statistics (outbound lanes
-    /// attributed to the source device, inbound — including the ledger's
-    /// in-flight peak — to the destination).
-    pub(crate) fn handoff_report(&self) -> HandoffReport {
-        HandoffReport {
-            handoffs_out: self.handoff_tally.out,
-            handoffs_in: self.handoff_tally.in_count,
-            bytes_out: self.handoff_tally.bytes_out,
-            bytes_in: self.handoff_tally.bytes_in,
-            link_seconds: self.handoff_tally.link_cycles / crate::CLOCK_HZ,
-            peak_in_flight_bytes: self.handoff_ledger.peak_in_flight_bytes(),
-        }
-    }
-
-    /// This device's preemption statistics.
-    pub(crate) fn preempt_report(&self) -> PreemptReport {
-        PreemptReport {
-            preemptions: self.tally.preemptions,
-            swap_out_bytes: self.tally.swap_out_bytes,
-            swap_in_bytes: self.tally.swap_in_bytes,
-            swap_seconds: self.tally.swap_cycles / crate::CLOCK_HZ,
-            recompute_seconds: self.tally.recompute_cycles / crate::CLOCK_HZ,
-            peak_swap_held_bytes: self.ledger.peak_held_bytes(),
+            energy_joules: self.energy_pj * 1e-12,
+            pool: PoolReport {
+                budget_bytes: self.pool.budget_bytes(),
+                peak_resident_bytes: self.pool.peak_resident_bytes(),
+                peak_reserved_bytes: self.pool.peak_reserved_bytes(),
+                mean_resident_bytes: self.pool.mean_resident_bytes(),
+                busy_span_seconds: self.pool.busy_span_cycles() / crate::CLOCK_HZ,
+                admission_stall_seconds: stall_cycles / crate::CLOCK_HZ,
+            },
+            preempt: PreemptReport {
+                preemptions: self.preemptions,
+                swap_out_bytes: self.ledger.total_out_bytes(),
+                swap_in_bytes: self.ledger.total_in_bytes(),
+                swap_seconds: self.swap_cycles / crate::CLOCK_HZ,
+                recompute_seconds: self.recompute_cycles / crate::CLOCK_HZ,
+                peak_swap_held_bytes: self.ledger.peak_held_bytes(),
+            },
+            handoff: HandoffReport {
+                bytes_in: self.handoff_ledger.total_in_bytes(),
+                link_seconds: self.link_cycles / crate::CLOCK_HZ,
+                peak_in_flight_bytes: self.handoff_ledger.peak_in_flight_bytes(),
+                ..self.handoff
+            },
+            steps: StepReport {
+                mean_budget_utilization: if self.steps.steps == 0 {
+                    0.0
+                } else {
+                    self.budget_utilization_sum / self.steps.steps as f64
+                },
+                ..self.steps
+            },
+            prefix: self.prefix,
         }
     }
 }
@@ -2330,6 +2249,18 @@ mod tests {
             }),
             ServeConfigError::BudgetRequiresChunkedPrefill
         );
+        for link in [0.0, -2.0, f64::NAN] {
+            assert_eq!(
+                bad(ServeConfig {
+                    preempt: PreemptConfig {
+                        host_link_bytes_per_cycle: link,
+                        ..PreemptConfig::swap()
+                    },
+                    ..ServeConfig::default()
+                }),
+                ServeConfigError::NonPositiveHostLink { device: None }
+            );
+        }
         // The boundary case chunk == budget is legal (no piggyback slack,
         // but chunk steps can still be scheduled), as are the defaults.
         assert!(ServeConfig {

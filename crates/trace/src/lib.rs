@@ -3,10 +3,9 @@
 //!
 //! The serving simulator is deterministic, so a run is fully described
 //! by its materialized workload plus the event stream it emitted — the
-//! [`mcbp_serve::RunTrace`] the traced entry points
-//! ([`mcbp_serve::ServeSim::run_traced`],
-//! [`mcbp_serve::ServeSim::run_fleet_profiles_traced`]) return. This
-//! crate turns that history into three capabilities, one per module:
+//! [`mcbp_serve::RunTrace`] that [`mcbp_serve::ServeSim::run_spec`]
+//! returns for a [`mcbp_serve::RunSpec::traced`] spec. This crate turns
+//! that history into three capabilities, one per module:
 //!
 //! 1. **[`format`](mod@format)** — a compact versioned binary on-disk
 //!    format:
@@ -33,7 +32,8 @@
 //! ```
 //! use mcbp_model::LlmConfig;
 //! use mcbp_serve::{
-//!     ArrivalProcess, ContinuousBatchScheduler, LoadGenerator, ServeConfig, ServeSim,
+//!     ArrivalProcess, ContinuousBatchScheduler, DeviceProfile, DispatchPolicy, LoadGenerator,
+//!     RunSpec, ServeConfig, ServeSim,
 //! };
 //! use mcbp_sim::{McbpConfig, McbpSim};
 //! use mcbp_trace::{from_bytes, to_bytes, verify_replay, TraceStats};
@@ -52,7 +52,13 @@
 //! let workload = LoadGenerator::uniform(
 //!     Task::cola(), 4, ArrivalProcess::Poisson { rate_rps: 50.0, seed: 7 },
 //! ).generate();
-//! let (report, trace) = sim.run_traced(&workload, &mut ContinuousBatchScheduler::new());
+//! let one_device = RunSpec::fleet(&[DeviceProfile::uniform()], DispatchPolicy::RoundRobin);
+//! let out = sim
+//!     .run_spec(&workload, one_device.traced(), &mut || {
+//!         Box::new(ContinuousBatchScheduler::new())
+//!     })
+//!     .unwrap();
+//! let (report, trace) = (out.report, out.trace.unwrap());
 //!
 //! // Serialize to the binary format and back: bit-exact.
 //! let bytes = to_bytes(&trace).unwrap();
