@@ -4,19 +4,20 @@
 //! serving core's report lanes: one device under continuous batching, under
 //! priority preemption (drop-and-recompute and swap) and under a step token
 //! budget; a three-device fleet with shared prefixes under every dispatch
-//! policy; two disaggregated fleets; and a closed-loop fleet. Each case is
-//! pinned by the FNV-1a-64 of its `ServeReport::to_json()` and of its
+//! policy; two disaggregated fleets; a closed-loop fleet; and three
+//! overloaded runs whose device queues grow hundreds of requests deep. Each
+//! case is pinned by the FNV-1a-64 of its `ServeReport::to_json()` and of its
 //! encoded `RunTrace`, so a refactor that moves any reported figure or any
 //! recorded byte fails here, naming the case and printing its JSON.
 
 use mcbp::baselines::GpuA100;
 use mcbp::prelude::*;
-use mcbp::serve::{request_kv_bytes, RunOutcome, Scheduler, Workload};
+use mcbp::serve::{request_kv_bytes, RunOutcome, Scheduler, TraceEvent, Workload};
 use mcbp::trace::to_bytes;
 
 /// `(case, report digest, trace digest)`.
 #[rustfmt::skip]
-const GOLDEN: [(&str, u64, u64); 12] = [
+const GOLDEN: [(&str, u64, u64); 15] = [
     ("single_cb_poisson", 0x76d9_1fa7_2c0f_8321, 0xc143_5964_3e07_bfbe),
     ("single_priority_drop_recompute", 0xb7cd_1832_d702_4b54, 0x957e_93f8_6cec_ad85),
     ("single_priority_swap", 0x840a_fe54_3663_c21e, 0x742a_52fb_11f8_60b3),
@@ -29,6 +30,9 @@ const GOLDEN: [(&str, u64, u64); 12] = [
     ("disagg_prefill_decode", 0x4815_d92e_3bc4_5f1c, 0xd675_e706_0427_bec6),
     ("disagg_prefill_unified_unified", 0x6b44_f93d_c77a_80e1, 0x3ab1_693e_acc5_f07e),
     ("closed_loop_fleet", 0x6a63_1b36_2337_4a29, 0x9752_802b_8272_8b6d),
+    ("single_priority_overload_drop_recompute", 0xdb13_f607_54ef_8dd6, 0xb117_2479_11fc_70ae),
+    ("single_priority_overload_swap", 0x51cb_430e_0a99_dc18, 0x53bc_5364_be25_9823),
+    ("disagg_overload", 0x3164_3ded_4735_d4b7, 0x7133_9597_64cb_bdd6),
 ];
 
 const KEEP: f64 = 0.5;
@@ -206,7 +210,51 @@ fn matrix() -> Vec<(String, RunOutcome)> {
             true,
         ),
     ));
+    // Overload: 400 requests at 200 rps into a four-request pool, so the
+    // admission queues run hundreds deep.
+    let flood = mixed(400, poisson(200.0, 13)).generate();
+    let deep = |policy| ServeConfig {
+        kv_budget_bytes: Some(pool_of(4)),
+        ..tight(policy)
+    };
+    cases.push((
+        "single_priority_overload_drop_recompute".to_string(),
+        run(deep(EvictionPolicy::DropRecompute), &flood, single(), true),
+    ));
+    cases.push((
+        "single_priority_overload_swap".to_string(),
+        run(deep(EvictionPolicy::Swap), &flood, single(), true),
+    ));
+    cases.push((
+        "disagg_overload".to_string(),
+        run(
+            ServeConfig {
+                kv_budget_bytes: Some(pool_of(4)),
+                ..ServeConfig::default()
+            },
+            &flood,
+            RunSpec::fleet(
+                &roles(&[DeviceRole::Prefill, DeviceRole::Decode]),
+                DispatchPolicy::JoinShortestQueue,
+            ),
+            true,
+        ),
+    ));
     cases
+}
+
+/// The deepest device queue a traced run's steps recorded.
+fn peak_step_queue_depth(out: &RunOutcome) -> u32 {
+    let trace = out.trace.as_ref().expect("every case is traced");
+    trace
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::Step { queue_depth, .. } => Some(*queue_depth),
+            _ => None,
+        })
+        .max()
+        .unwrap_or(0)
 }
 
 #[test]
@@ -248,6 +296,13 @@ fn report_and_trace_digests_match_the_golden_table() {
     ];
     for (lane, total) in lanes {
         assert!(total > 0.0, "the golden matrix never exercises {lane}");
+    }
+    // The overload cases must build the deep queues they exist to pin.
+    for (name, out) in &cases {
+        if name.starts_with("single_priority_overload") {
+            let depth = peak_step_queue_depth(out);
+            assert!(depth >= 200, "case {name} peaked at queue depth {depth}");
+        }
     }
     assert!(
         mismatched.is_empty(),
