@@ -215,6 +215,21 @@ pub enum ServeConfigError {
         /// The conflicting declared length, in tokens.
         tokens_b: usize,
     },
+    /// A request's arrival cycle is NaN or negative: it has no place on
+    /// the simulated clock.
+    InvalidArrival {
+        /// The offending request.
+        request: RequestId,
+    },
+    /// An open-loop request arrives at `+∞`: only a closed-loop release
+    /// gives such a request a finite arrival, so it would never be served.
+    NeverArrives {
+        /// The offending request.
+        request: RequestId,
+    },
+    /// A closed-loop workload whose every arrival is `+∞`: no request
+    /// ever starts, so no completion ever releases the rest.
+    ClosedLoopNeverStarts,
 }
 
 impl std::fmt::Display for ServeConfigError {
@@ -296,6 +311,19 @@ impl std::fmt::Display for ServeConfigError {
                 f,
                 "prefix {prefix} is declared with two different lengths ({tokens_a} and \
                  {tokens_b} tokens): one content-addressed id must name one prefix"
+            ),
+            ServeConfigError::InvalidArrival { request } => {
+                write!(f, "request {request} has a NaN or negative arrival cycle")
+            }
+            ServeConfigError::NeverArrives { request } => write!(
+                f,
+                "request {request} arrives at +inf in an open-loop workload: \
+                 nothing would ever release it"
+            ),
+            ServeConfigError::ClosedLoopNeverStarts => write!(
+                f,
+                "a closed-loop workload needs at least one finite arrival: \
+                 otherwise no completion ever releases the rest"
             ),
         }
     }
@@ -645,20 +673,32 @@ impl<'a> ServeSim<'a> {
         (report, trace.expect("tracing was requested"))
     }
 
-    /// Checks a workload's internal consistency: every declared
-    /// [`crate::SharedPrefix`] must fit inside its request's prompt, and
-    /// one [`PrefixId`] must always be declared with one length (ids are
-    /// content-addressed).
+    /// Checks a workload's internal consistency: every arrival is a
+    /// non-negative cycle, `+∞` (a closed-loop release) only in a
+    /// closed-loop workload that starts at least one request on the
+    /// clock; every declared [`crate::SharedPrefix`] must fit inside its
+    /// request's prompt, and one [`PrefixId`] must always be declared with
+    /// one length (ids are content-addressed).
     ///
     /// # Errors
     ///
-    /// Returns [`ServeConfigError::PrefixExceedsPrompt`] or
+    /// Returns [`ServeConfigError::InvalidArrival`],
+    /// [`ServeConfigError::NeverArrives`],
+    /// [`ServeConfigError::PrefixExceedsPrompt`] or
     /// [`ServeConfigError::PrefixLengthConflict`] for the first
-    /// offending request.
+    /// offending request, else
+    /// [`ServeConfigError::ClosedLoopNeverStarts`].
     pub fn validate_workload(workload: &Workload) -> Result<(), ServeConfigError> {
         let mut declared: std::collections::BTreeMap<PrefixId, usize> =
             std::collections::BTreeMap::new();
         for r in &workload.requests {
+            let a = r.arrival_cycle;
+            if a.is_nan() || a < 0.0 {
+                return Err(ServeConfigError::InvalidArrival { request: r.id });
+            }
+            if a.is_infinite() && workload.closed_loop.is_none() {
+                return Err(ServeConfigError::NeverArrives { request: r.id });
+            }
             if let Some(p) = r.prefix {
                 if p.tokens > r.prompt_len {
                     return Err(ServeConfigError::PrefixExceedsPrompt {
@@ -678,6 +718,13 @@ impl<'a> ServeSim<'a> {
                     _ => {}
                 }
             }
+        }
+        let starts = workload
+            .requests
+            .iter()
+            .any(|r| r.arrival_cycle.is_finite());
+        if workload.closed_loop.is_some() && !workload.requests.is_empty() && !starts {
+            return Err(ServeConfigError::ClosedLoopNeverStarts);
         }
         Ok(())
     }

@@ -318,4 +318,55 @@ fn fleet_and_workload_validation_returns_typed_errors() {
             tokens_b: 64
         })
     );
+    // An arrival that can never be served is rejected, not silently left
+    // out of the records.
+    let arriving = |arrivals: [f64; 3], closed_loop| Workload {
+        requests: arrivals
+            .iter()
+            .enumerate()
+            .map(|(i, &a)| Request::from_task(i as u64, &Task::cola().with_decode(4), a))
+            .collect(),
+        closed_loop,
+    };
+    let single = [DeviceProfile::uniform()];
+    for (arrivals, closed_loop, expected) in [
+        (
+            [0.0, f64::NAN, 2.0],
+            None,
+            ServeConfigError::InvalidArrival { request: 1 },
+        ),
+        (
+            [0.0, 1.0, -1.0],
+            Some(2),
+            ServeConfigError::InvalidArrival { request: 2 },
+        ),
+        (
+            [0.0, 1.0, f64::INFINITY],
+            None,
+            ServeConfigError::NeverArrives { request: 2 },
+        ),
+        (
+            [f64::INFINITY; 3],
+            Some(3),
+            ServeConfigError::ClosedLoopNeverStarts,
+        ),
+    ] {
+        let w = arriving(arrivals, closed_loop);
+        assert_eq!(ServeSim::validate_workload(&w).err(), Some(expected));
+        assert_eq!(
+            sim.run_spec(
+                &w,
+                RunSpec::fleet(&single, DispatchPolicy::RoundRobin),
+                &mut mk
+            )
+            .err(),
+            Some(expected)
+        );
+    }
+    // A closed loop that starts one request releases the rest, and
+    // `-0.0` is a valid start.
+    assert_eq!(
+        ServeSim::validate_workload(&arriving([-0.0, f64::INFINITY, f64::INFINITY], Some(1))),
+        Ok(())
+    );
 }
