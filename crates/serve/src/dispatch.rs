@@ -117,7 +117,7 @@
 //! other code is shared, and the two modes are bit-exact.
 //!
 //! **Why devices are independent between dispatch points.** Let `H` be
-//! the arrival cycle of the earliest pending (finite) arrival. The
+//! the arrival cycle of the earliest pending arrival. The
 //! dispatch gate only opens once the *minimum* clock among busy devices
 //! reaches `H`, so until every busy device's clock crosses `H` no new
 //! request enters the fleet, and the router observes nothing. In that
@@ -591,22 +591,22 @@ impl<'a> ServeSim<'a> {
     }
 }
 
-/// Releases the next closed-loop request (if any) at the given instant —
-/// a completion or a drop each vacate exactly one population slot. The
-/// released entry is re-inserted in arrival order: fleet devices complete
-/// on asynchronous clocks, so release instants are *not* nondecreasing
-/// and an in-place write would break the sorted-deque invariant the
-/// front-gated dispatch loop relies on.
-fn release_next_closed_loop(pending: &mut VecDeque<Request>, now: f64) {
-    let Some(idx) = pending.iter().position(|r| r.arrival_cycle.is_infinite()) else {
+/// Releases the next closed-loop request (if any) into `pending` at the
+/// given instant — a completion or a drop each vacate exactly one
+/// population slot. The released entry is inserted in arrival order:
+/// fleet devices complete on asynchronous clocks, so release instants are
+/// *not* nondecreasing and a tail push would break the sorted-deque
+/// invariant the front-gated dispatch loop relies on.
+fn release_next_closed_loop(
+    unreleased: &mut VecDeque<Request>,
+    pending: &mut VecDeque<Request>,
+    now: f64,
+) {
+    let Some(mut req) = unreleased.pop_front() else {
         return;
     };
-    let mut req = pending.remove(idx).expect("index valid");
     req.arrival_cycle = now;
-    let pos = pending
-        .iter()
-        .position(|r| r.arrival_cycle > now)
-        .unwrap_or(pending.len());
+    let pos = pending.partition_point(|r| r.arrival_cycle <= now);
     pending.insert(pos, req);
 }
 
@@ -716,15 +716,19 @@ enum Advance<'q, J> {
 }
 
 /// The drive loop's state: one slot per device, the global arrival
-/// queue, the routing plan, and the router's trace log.
+/// queue, the closed-loop slots not yet released, the routing plan, and
+/// the router's trace log.
 struct Drive<'s, 'a, 'x> {
     slots: Vec<Slot<'s, 'a, 'x>>,
-    /// Undispatched requests, kept arrival-sorted (generated workloads
-    /// already are; sorting here makes hand-built ones safe too, and
-    /// closed-loop releases re-insert their entry at its sorted position).
+    /// Undispatched requests with a finite arrival, kept arrival-sorted
+    /// (generated workloads already are; sorting here makes hand-built
+    /// ones safe too, and closed-loop releases insert their entry at its
+    /// sorted position).
     pending: VecDeque<Request>,
+    /// Closed-loop requests whose slot has not opened yet (the workload's
+    /// `+∞` arrivals), released first in, first out.
+    unreleased: VecDeque<Request>,
     plan: StagePlan,
-    closed: bool,
     trace: bool,
     /// Routing decisions of a traced run (stage-1 routes and handoffs).
     route_log: Vec<TraceEvent>,
@@ -752,15 +756,19 @@ impl<'s, 'a, 'x> Drive<'s, 'a, 'x> {
                 }
             })
             .collect();
-        let mut pending: VecDeque<Request> = workload.requests.clone().into();
+        let (mut pending, unreleased): (VecDeque<Request>, _) = workload
+            .requests
+            .iter()
+            .cloned()
+            .partition(|r| r.arrival_cycle.is_finite());
         pending
             .make_contiguous()
             .sort_by(|a, b| a.arrival_cycle.total_cmp(&b.arrival_cycle));
         Drive {
             slots,
             pending,
+            unreleased,
             plan: StagePlan::new(profiles),
-            closed: workload.closed_loop.is_some(),
             trace,
             route_log: Vec::new(),
         }
@@ -776,7 +784,7 @@ impl<'s, 'a, 'x> Drive<'s, 'a, 'x> {
                 _ => self.step_earliest(),
             };
             if !advanced {
-                break; // drained (closed-loop leftovers can never release)
+                break; // drained
             }
         }
     }
@@ -803,9 +811,6 @@ impl<'s, 'a, 'x> Drive<'s, 'a, 'x> {
                 progress = true;
             }
             while let Some(head) = self.pending.front() {
-                if !head.arrival_cycle.is_finite() {
-                    break;
-                }
                 let min_busy = self
                     .slots
                     .iter()
@@ -842,12 +847,11 @@ impl<'s, 'a, 'x> Drive<'s, 'a, 'x> {
     }
 
     /// Vacates `count` closed-loop population slots at `now` — a
-    /// completion or a drop each frees one; a no-op on open-loop load.
+    /// completion or a drop each frees one; a no-op once every slot is
+    /// released (always, on open-loop load).
     fn release(&mut self, count: usize, now: f64) {
-        if self.closed {
-            for _ in 0..count {
-                release_next_closed_loop(&mut self.pending, now);
-            }
+        for _ in 0..count {
+            release_next_closed_loop(&mut self.unreleased, &mut self.pending, now);
         }
     }
 
@@ -890,7 +894,7 @@ impl<'s, 'a, 'x> Drive<'s, 'a, 'x> {
     /// dispatcher) or a busy `Prefill`-role device (it could produce a
     /// handoff the phase horizon cannot see — see the module docs).
     fn coupled(&self) -> bool {
-        (self.closed && self.pending.iter().any(|r| r.arrival_cycle.is_infinite()))
+        !self.unreleased.is_empty()
             || self
                 .slots
                 .iter()
@@ -918,7 +922,7 @@ impl<'s, 'a, 'x> Drive<'s, 'a, 'x> {
     /// One parallel phase: every busy device below the next dispatch
     /// horizon (the earliest pending arrival) runs up to it on the worker
     /// pool. Returns `false` when no device is busy — after the fixpoint a
-    /// finite pending head implies a busy device with an earlier clock.
+    /// pending head implies a busy device with an earlier clock.
     fn run_phase(&mut self, queue: &PhaseQueue<Job<'s, 'a, 'x>>) -> bool {
         let horizon = self
             .pending
@@ -982,9 +986,11 @@ pub(crate) fn drive<'a>(
             queue.shutdown();
         });
     }
+    // Validation guarantees a closed loop starts at least one request, and
+    // every completion or drop releases the next slot.
     debug_assert!(
-        fleet.slots.iter().all(|s| s.dev.is_drained()),
-        "driver exited with undone device work"
+        fleet.unreleased.is_empty() && fleet.slots.iter().all(|s| s.dev.is_drained()),
+        "driver exited with undone work"
     );
     let devs = fleet.slots.into_iter().map(|s| s.dev).collect();
     merge_fleet(workload, devs, fleet.route_log, name, trace)
@@ -1147,22 +1153,27 @@ mod tests {
     fn out_of_order_releases_keep_the_pending_deque_sorted() {
         // Fleet devices complete on asynchronous clocks, so release
         // instants arrive out of order; each release must land at its
-        // sorted position, not at the front of the infinite tail.
-        let mut pending: VecDeque<Request> = (0..3)
+        // sorted position, not at the tail.
+        let mut unreleased: VecDeque<Request> = (0..3)
             .map(|i| Request::from_task(i, &Task::cola(), f64::INFINITY))
             .collect();
-        release_next_closed_loop(&mut pending, 110.0);
-        release_next_closed_loop(&mut pending, 105.0);
+        let mut pending = VecDeque::new();
+        release_next_closed_loop(&mut unreleased, &mut pending, 110.0);
+        release_next_closed_loop(&mut unreleased, &mut pending, 105.0);
         let arrivals: Vec<f64> = pending.iter().map(|r| r.arrival_cycle).collect();
-        assert_eq!(arrivals[..2], [105.0, 110.0]);
-        assert!(arrivals[2].is_infinite());
-        // An early release sorts ahead of the finite entries; once no
-        // infinite entry remains, further releases are no-ops.
-        release_next_closed_loop(&mut pending, 1.0);
-        release_next_closed_loop(&mut pending, 120.0);
+        assert_eq!(arrivals, [105.0, 110.0]);
+        assert_eq!(unreleased.len(), 1);
+        // An early release sorts ahead of the released entries, and slots
+        // release first in, first out; once every slot is released,
+        // further releases are no-ops.
+        release_next_closed_loop(&mut unreleased, &mut pending, 1.0);
+        release_next_closed_loop(&mut unreleased, &mut pending, 120.0);
         assert_eq!(pending.len(), 3);
+        assert!(unreleased.is_empty());
         let arrivals: Vec<f64> = pending.iter().map(|r| r.arrival_cycle).collect();
         assert_eq!(arrivals, [1.0, 105.0, 110.0]);
+        let ids: Vec<u64> = pending.iter().map(|r| r.id).collect();
+        assert_eq!(ids, [2, 1, 0]);
     }
 
     /// A hand-built fleet view for router unit tests.

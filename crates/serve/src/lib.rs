@@ -18,9 +18,11 @@
 //!
 //! **Requests.** A [`Request`] is a prompt of `prompt_len` tokens followed
 //! by `decode_len` generated tokens, derived from a benchmark
-//! [`mcbp_workloads::Task`] shape. Its lifecycle
-//! ([`RequestState`]) is `Queued → AwaitingPrefill → Decoding → Completed`
-//! (or `Dropped` if its KV footprint can never fit).
+//! [`mcbp_workloads::Task`] shape. On its device it waits — fresh,
+//! suspended after an eviction, or as a handoff from a prefill device —
+//! then runs active (prefill chunks, then decode tokens), and is recorded
+//! ([`RequestState`]) as `Completed`, or `Dropped` if its KV footprint can
+//! never fit.
 //!
 //! **Arrivals.** A [`LoadGenerator`] materializes a [`Workload`] from an
 //! [`ArrivalProcess`]: `ClosedLoop` (a fixed in-flight population, for

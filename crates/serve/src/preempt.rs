@@ -232,9 +232,9 @@ impl SwapLedger {
 /// those bytes when the decode device re-reserves them, and the
 /// double-out / in-without-out panics make a mid-handoff double-free an
 /// immediate accounting failure instead of silent byte loss. A request
-/// in flight between pools is in *neither* device's active or suspended
-/// set, so preemption victim selection can never touch it — the ledger's
-/// panics are the backstop should that invariant ever break.
+/// in flight between pools is in *neither* device's active set, so
+/// preemption victim selection can never touch it — the ledger's panics
+/// are the backstop should that invariant ever break.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct HandoffLedger {
     in_flight: BTreeMap<RequestId, u64>,

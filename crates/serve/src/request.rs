@@ -100,8 +100,9 @@ impl SloSpec {
 pub struct Request {
     /// Stable id (index order of generation).
     pub id: RequestId,
-    /// Arrival time in core cycles. Closed-loop workloads use
-    /// [`f64::INFINITY`] for requests released only upon a completion.
+    /// Arrival time in core cycles: non-negative, and never NaN.
+    /// Closed-loop workloads use [`f64::INFINITY`] for requests released
+    /// only upon a completion (see [`crate::ServeSim::validate_workload`]).
     pub arrival_cycle: f64,
     /// Prompt length in tokens.
     pub prompt_len: usize,
@@ -164,38 +165,22 @@ impl Request {
     }
 }
 
-/// Lifecycle of a request inside the serving simulator: `Queued →
-/// AwaitingPrefill → Decoding → Completed` (or `Dropped` if its KV
-/// footprint can never fit). Preemption loops a request back: an evicted
-/// victim returns to `Queued` and, once re-admitted, to `AwaitingPrefill`
-/// (drop-and-recompute replays the prefill — only the chunks it had
-/// completed, when evicted mid-prefill) or straight to `Decoding` (swap
-/// restores its KV from host memory; a mid-prefill swap victim resumes
-/// `AwaitingPrefill` at its preserved cursor).
+/// How a request left the serving simulator: the final state on its
+/// [`RequestRecord`].
 ///
-/// Under a step token budget ([`crate::ServeConfig::step_token_budget`])
-/// one scheduler step can advance `AwaitingPrefill` *and* `Decoding`
-/// requests together (a mixed step), but each request is still in exactly
-/// one state per step — a prompt's cursor must reach its target before
-/// the request's first decode token, so the transition diagram is
-/// unchanged. Eviction can interrupt a request between any two steps,
-/// including right after a mixed step advanced it: the victim's cursor
-/// (or token count) is whatever that step left behind, and drop-and-
-/// recompute replays exactly the completed-chunk prefix it recorded.
+/// On its device a request first **waits**: as a fresh arrival; after an
+/// eviction as a suspended victim (drop-and-recompute replays the chunks
+/// it had completed, swap restores its KV and cursor from host memory);
+/// or, on a disaggregated fleet's decode device, as a handoff landing over
+/// the host link. Admission makes it **active**: its prefill cursor
+/// advances chunk by chunk under [`crate::ServeConfig::prefill_chunk`],
+/// then it decodes one token per step, and under a step token budget one
+/// mixed step can advance prefilling and decoding requests together.
+/// Eviction can return an active request to waiting between any two
+/// steps, with its cursor (or token count) as the last step left it.
+/// Finally the request is **recorded** in one of these states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestState {
-    /// Arrived, not yet admitted (waiting for KV-pool reservation).
-    Queued,
-    /// Admitted, prompt not fully processed: the prefill cursor advances
-    /// chunk by chunk under [`crate::ServeConfig::prefill_chunk`] (see
-    /// [`crate::SchedEntry::done`]), possibly sharing each step with
-    /// piggybacked decode streams.
-    AwaitingPrefill,
-    /// Prompt processed; `generated` tokens decoded so far.
-    Decoding {
-        /// Tokens decoded so far.
-        generated: usize,
-    },
     /// All tokens decoded and the KV residency released.
     Completed,
     /// Rejected: its peak KV residency can never fit the pool budget.

@@ -4,16 +4,19 @@
 //! # The event loop
 //!
 //! A [`DeviceSim`] (crate-internal) owns one device's complete serving
-//! state: its [`KvCachePool`], its suspended-victim set, its clock, and
-//! its in-flight requests. The loop driven by [`crate::dispatch`] repeats
+//! state: its [`KvCachePool`], its waiting requests, its clock, and its
+//! in-flight requests. The loop driven by [`crate::dispatch`] repeats
 //! three phases per step:
 //!
-//! 1. **Admission** — resumable evicted victims and arrived queue entries
-//!    are considered best-first (priority desc, arrival asc, id asc); the
-//!    best candidate reserves its *peak* KV residency or, failing that,
-//!    preempts strictly lower-priority victims when the configured
-//!    [`crate::EvictionPolicy`] allows. When the best candidate cannot be
-//!    placed, admission blocks — lower-ordered candidates never jump it.
+//! 1. **Admission** — every waiting request is a fresh arrival, an
+//!    evicted victim, or a handoff landing from a prefill device, and all
+//!    three wait in one queue ordered by (priority desc, arrival asc, id
+//!    asc), where a handoff's arrival is its link-arrival instant. Entries
+//!    the device clock has not reached wait apart, keyed by arrival, until
+//!    it does. The first candidate reserves its *peak* KV residency or,
+//!    failing that, preempts strictly lower-priority victims when the
+//!    configured [`crate::EvictionPolicy`] allows. When it cannot be
+//!    placed, admission blocks — later candidates never jump it.
 //! 2. **Planning** — the pluggable [`Scheduler`] sees admitted prompts
 //!    (with their prefill cursors) and decoding streams, and plans one
 //!    batched invocation ([`StepPlan`]).
@@ -46,7 +49,8 @@
 //! The simulator never reads a wall clock and draws no randomness, so a
 //! `(workload, scheduler, config)` triple replays bit-identically.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
 
 use mcbp_workloads::{Accelerator, Fleet, TraceContext};
 
@@ -445,32 +449,6 @@ impl InFlight {
     }
 }
 
-/// An evicted request waiting to resume: its progress survives eviction,
-/// only its device-resident KV is gone (discarded or held in host memory).
-/// The prefill cursor stays as it was at eviction: a swap victim resumes
-/// from it (its prefix KV is preserved in host memory); a
-/// drop-and-recompute victim restarts from zero and replays exactly the
-/// completed tokens (plus its generated tokens when the prefill had
-/// finished).
-struct Suspended {
-    flight: InFlight,
-    /// KV bytes held in the swap ledger (0 under drop-and-recompute).
-    swapped_bytes: u64,
-}
-
-impl Suspended {
-    /// Queue-ordering arrival key (closed-loop releases carry infinity;
-    /// fall back to the first admission instant).
-    fn arrival_key(&self) -> f64 {
-        let f = &self.flight;
-        if f.req.arrival_cycle.is_finite() {
-            f.req.arrival_cycle
-        } else {
-            f.admitted_cycle
-        }
-    }
-}
-
 /// A decode continuation leaving a [`DeviceRole::Prefill`] device. The
 /// prefill device generates the request's *first token* before handing
 /// off (the DistServe cut point — TTFT is produced entirely on the
@@ -491,21 +469,57 @@ pub(crate) struct HandoffOut {
     pub(crate) ready_cycle: f64,
 }
 
-/// A routed handoff riding the host link toward this device. Its bytes
-/// are held by the destination's [`HandoffLedger`]; it is in neither
-/// device's active or suspended set, so victim selection cannot touch it
-/// (the ledger panics are the double-free backstop).
-struct PendingHandoff {
-    flight: InFlight,
-    /// Destination clock at which the transfer completes and the request
-    /// becomes admissible.
-    arrival_cycle: f64,
+/// A request waiting on a device for admission. A fresh request has
+/// only its [`Request`]; an evicted victim and a landing handoff carry the
+/// progress they already made.
+enum Waiting {
+    /// A dispatched request never admitted here.
+    Fresh(Request),
+    /// An evicted request waiting to resume: its progress survives
+    /// eviction, only its device-resident KV is gone (discarded or held in
+    /// host memory). The prefill cursor stays as it was at eviction: a swap
+    /// victim resumes from it (its prefix KV is preserved in host memory);
+    /// a drop-and-recompute victim restarts from zero and replays exactly
+    /// the completed tokens (plus its generated tokens when the prefill had
+    /// finished).
+    Suspended {
+        flight: InFlight,
+        /// KV bytes held in the swap ledger (0 under drop-and-recompute).
+        swapped_bytes: u64,
+    },
+    /// A routed handoff riding the host link toward this device, admissible
+    /// once the transfer lands. Its bytes are held by the destination's
+    /// [`HandoffLedger`]; it is in neither device's active set, so victim
+    /// selection cannot touch it (the ledger panics are the double-free
+    /// backstop).
+    Handoff(InFlight),
 }
 
-/// `a` strictly ahead of `b` in admission order: higher priority first,
-/// then earlier arrival, then lower id.
-fn admits_before(a: (Priority, f64, RequestId), b: (Priority, f64, RequestId)) -> bool {
-    a.0 > b.0 || (a.0 == b.0 && (a.1 < b.1 || (a.1 == b.1 && a.2 < b.2)))
+impl Waiting {
+    fn req(&self) -> &Request {
+        match self {
+            Waiting::Fresh(req) => req,
+            Waiting::Suspended { flight, .. } | Waiting::Handoff(flight) => &flight.req,
+        }
+    }
+
+    /// Tokens still to process (the join-shortest-queue metric).
+    fn remaining_tokens(&self) -> usize {
+        match self {
+            Waiting::Fresh(req) => req.prompt_len + req.decode_len,
+            Waiting::Suspended { flight, .. } | Waiting::Handoff(flight) => {
+                flight.remaining_tokens()
+            }
+        }
+    }
+}
+
+/// A cycle as an order key. Clocks and arrivals are non-negative and never
+/// NaN (see [`ServeSim::validate_workload`]), and such floats order like
+/// their bit patterns once `-0.0` is folded into `0.0`.
+fn cycle_key(cycle: f64) -> u64 {
+    debug_assert!(cycle >= 0.0, "cycle {cycle} cannot key an order");
+    (cycle + 0.0).to_bits()
 }
 
 /// The resident prefix entry a request can reuse, as `(id, tokens,
@@ -769,8 +783,8 @@ enum DeviceCost<'s, 'a> {
     Owned(Box<StepCostModel<'a>>),
 }
 
-/// One simulated device's complete serving state: local queue, KV pool,
-/// suspended victims, clock, and counters. The dispatch driver
+/// One simulated device's complete serving state: waiting requests, KV
+/// pool, clock, and counters. The dispatch driver
 /// ([`crate::dispatch`]) owns one of these per fleet device — built from
 /// its [`DeviceProfile`] — and steps whichever has runnable work and the
 /// earliest clock.
@@ -795,8 +809,6 @@ pub(crate) struct DeviceSim<'s, 'a> {
     /// Finished prefills awaiting stage-2 routing (drained by the
     /// driver's dispatch fixpoint).
     outbound: Vec<HandoffOut>,
-    /// Routed handoffs riding the link toward this device.
-    inbound: Vec<PendingHandoff>,
     /// Counts, kept straight in their report lanes; [`DeviceSim::lane`]
     /// adds the ledgers' byte totals and the cycle sums below.
     preemptions: u64,
@@ -815,11 +827,15 @@ pub(crate) struct DeviceSim<'s, 'a> {
     recompute_cycles: f64,
     link_cycles: f64,
     budget_utilization_sum: f64,
-    /// Requests dispatched to this device, arrival-sorted, not yet
-    /// admitted.
-    pending: VecDeque<Request>,
+    /// Waiting requests the clock has not reached yet — dispatched ahead
+    /// of it, or a handoff still on the link — keyed by `(arrival, id)`.
+    arriving: BTreeMap<(u64, RequestId), Waiting>,
+    /// Reached waiting requests in admission order: `(priority desc,
+    /// arrival asc, id asc)`.
+    ready: BTreeMap<(Reverse<Priority>, u64, RequestId), Waiting>,
+    /// Fresh requests among the waiting ones (the trace's queue depth).
+    fresh_waiting: usize,
     active: Vec<InFlight>,
-    suspended: Vec<Suspended>,
     pub(crate) records: Vec<RequestRecord>,
     /// This device's clock, in core cycles.
     pub(crate) now: f64,
@@ -877,7 +893,6 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
             ledger: SwapLedger::new(),
             handoff_ledger: HandoffLedger::new(),
             outbound: Vec::new(),
-            inbound: Vec::new(),
             preemptions: 0,
             prefix: PrefixReport::default(),
             steps: StepReport::default(),
@@ -886,9 +901,10 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
             recompute_cycles: 0.0,
             link_cycles: 0.0,
             budget_utilization_sum: 0.0,
-            pending: VecDeque::new(),
+            arriving: BTreeMap::new(),
+            ready: BTreeMap::new(),
+            fresh_waiting: 0,
             active: Vec::new(),
-            suspended: Vec::new(),
             records: Vec::new(),
             now: 0.0,
             busy_cycles: 0.0,
@@ -930,17 +946,13 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
         }
     }
 
-    /// Hands this device a dispatched request, keeping the local queue
-    /// arrival-sorted (dispatch order is global arrival order, so this is
-    /// a tail insert except around closed-loop releases).
+    /// Hands this device a dispatched request; the next admission takes
+    /// it once the clock reaches its arrival.
     pub(crate) fn enqueue(&mut self, req: Request) {
         self.dispatched += 1;
-        let pos = self
-            .pending
-            .iter()
-            .rposition(|r| r.arrival_cycle <= req.arrival_cycle)
-            .map_or(0, |i| i + 1);
-        self.pending.insert(pos, req);
+        self.fresh_waiting += 1;
+        let key = (cycle_key(req.arrival_cycle), req.id);
+        self.arriving.insert(key, Waiting::Fresh(req));
     }
 
     pub(crate) fn has_active(&self) -> bool {
@@ -950,10 +962,9 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
     /// Whether this device still holds undone work of any kind.
     pub(crate) fn is_drained(&self) -> bool {
         self.active.is_empty()
-            && self.suspended.is_empty()
-            && self.pending.is_empty()
+            && self.arriving.is_empty()
+            && self.ready.is_empty()
             && self.outbound.is_empty()
-            && self.inbound.is_empty()
             && self.handoff_ledger.is_empty()
     }
 
@@ -987,43 +998,27 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
     pub(crate) fn receive_handoff(&mut self, h: HandoffOut, arrival_cycle: f64) {
         let id = h.flight.req.id;
         self.handoff_ledger.handoff_out(id, h.bytes);
-        // Arrival-sorted like `pending`; ids break exact-cycle ties so
-        // insertion order never matters.
-        let pos = self
-            .inbound
-            .iter()
-            .rposition(|p| (p.arrival_cycle, p.flight.req.id) <= (arrival_cycle, id))
-            .map_or(0, |i| i + 1);
-        let entry = PendingHandoff {
-            flight: h.flight,
-            arrival_cycle,
-        };
-        self.inbound.insert(pos, entry);
+        let key = (cycle_key(arrival_cycle), id);
+        self.arriving.insert(key, Waiting::Handoff(h.flight));
     }
 
-    /// Remaining work queued on this device, in tokens (pending prompts
-    /// and decodes, plus the unprefilled and undecoded tokens of
-    /// admitted, suspended, and inbound requests) — the
+    /// Remaining work queued on this device, in tokens (the unprefilled
+    /// and undecoded tokens of every waiting and admitted request) — the
     /// join-shortest-queue dispatch metric.
     pub(crate) fn queued_tokens(&self) -> u64 {
-        let pending: usize = self
-            .pending
-            .iter()
-            .map(|r| r.prompt_len + r.decode_len)
+        let waiting: usize = self
+            .arriving
+            .values()
+            .chain(self.ready.values())
+            .map(Waiting::remaining_tokens)
             .sum();
-        let flights: usize = self
-            .active
-            .iter()
-            .chain(self.suspended.iter().map(|s| &s.flight))
-            .chain(self.inbound.iter().map(|h| &h.flight))
-            .map(InFlight::remaining_tokens)
-            .sum();
-        (pending + flights) as u64
+        let active: usize = self.active.iter().map(InFlight::remaining_tokens).sum();
+        (waiting + active) as u64
     }
 
-    /// Runs admission to a fixpoint: resumable victims and arrived queue
-    /// entries are admitted best-first until the best candidate blocks.
-    /// An idle device fast-forwards its clock to the next timed arrival.
+    /// Runs admission to a fixpoint: reached waiting requests are admitted
+    /// in admission order until the first one blocks. An idle device
+    /// fast-forwards its clock to the next arrival.
     /// Returns the number of requests dropped (peak residency can never
     /// fit) — the driver releases one closed-loop slot per drop.
     pub(crate) fn admit(&mut self) -> usize {
@@ -1037,28 +1032,17 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
                 continue;
             }
             if self.active.is_empty() {
-                // Admission into an idle pool cannot block, so nothing is
-                // suspended either.
-                debug_assert!(
-                    self.suspended.is_empty(),
-                    "suspended work on an idle device"
-                );
-                let next = self
-                    .pending
-                    .iter()
-                    .map(|r| r.arrival_cycle)
-                    .filter(|a| a.is_finite())
-                    .chain(self.inbound.iter().map(|h| h.arrival_cycle))
-                    .min_by(f64::total_cmp);
-                if let Some(arrival) = next {
-                    if arrival > self.now {
-                        self.now = arrival;
-                        // The gap holds no admitted work (asserted above),
-                        // so it is excluded from the occupancy mean
-                        // entirely rather than diluting it.
-                        self.pool.skip_idle(self.now);
-                        continue;
-                    }
+                // Admission into an idle pool cannot block, so every
+                // reached request was admitted or dropped.
+                debug_assert!(self.ready.is_empty(), "waiting work on an idle device");
+                if let Some(&(arrival, _)) = self.arriving.keys().next() {
+                    debug_assert!(f64::from_bits(arrival) > self.now, "unreached arrival");
+                    self.now = f64::from_bits(arrival);
+                    // The gap holds no admitted work (asserted above), so
+                    // it is excluded from the occupancy mean entirely
+                    // rather than diluting it.
+                    self.pool.skip_idle(self.now);
+                    continue;
                 }
             }
             break;
@@ -1109,225 +1093,188 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
         extracted
     }
 
-    /// One admission sweep at the current clock.
+    /// One admission sweep at the current clock: the first reached
+    /// waiting request is dropped if its peak can never fit, admitted if a
+    /// reservation succeeds, and otherwise blocks the sweep.
     fn admit_pass(&mut self, drops: &mut usize) {
-        /// Which queue the sweep's best candidate came from.
-        enum Source {
-            Suspended,
-            Pending,
-            Handoff,
-        }
         let keep = self.cost().template().attention_keep;
         let model = self.cost().template().model.clone();
         loop {
-            let best_susp = self
-                .suspended
-                .iter()
-                .enumerate()
-                .map(|(i, s)| (i, (s.flight.req.priority, s.arrival_key(), s.flight.req.id)))
-                .reduce(|a, b| if admits_before(b.1, a.1) { b } else { a });
-            let best_pend = self
-                .pending
-                .iter()
-                .enumerate()
-                .take_while(|(_, r)| r.arrival_cycle <= self.now)
-                .map(|(i, r)| (i, (r.priority, r.arrival_cycle, r.id)))
-                .reduce(|a, b| if admits_before(b.1, a.1) { b } else { a });
-            // A landed handoff competes like any other admission
-            // candidate, keyed by its link-arrival instant.
-            let best_hand = self
-                .inbound
-                .iter()
-                .enumerate()
-                .filter(|(_, h)| h.arrival_cycle <= self.now)
-                .map(|(i, h)| (i, (h.flight.req.priority, h.arrival_cycle, h.flight.req.id)))
-                .reduce(|a, b| if admits_before(b.1, a.1) { b } else { a });
-            // Ids are unique, so keys never tie exactly; prefer whichever
-            // source is strictly ahead in admission order.
-            let best = [
-                best_susp.map(|c| (Source::Suspended, c)),
-                best_pend.map(|c| (Source::Pending, c)),
-                best_hand.map(|c| (Source::Handoff, c)),
-            ]
-            .into_iter()
-            .flatten()
-            .reduce(|a, b| if admits_before(b.1 .1, a.1 .1) { b } else { a });
-            let Some((source, (idx, (prio, _, id)))) = best else {
+            // Swap stalls advance the clock mid-sweep, so the reached set
+            // is refreshed before every candidate.
+            while let Some(entry) = self.arriving.first_entry() {
+                let (arrival, id) = *entry.key();
+                if f64::from_bits(arrival) > self.now {
+                    break;
+                }
+                let w = entry.remove();
+                self.ready
+                    .insert((Reverse(w.req().priority), arrival, id), w);
+            }
+            let Some((&key, w)) = self.ready.first_key_value() else {
                 break;
             };
-            match source {
-                Source::Handoff => {
-                    let full_peak = request_kv_bytes(
-                        &model,
-                        self.inbound[idx].flight.req.final_context(),
-                        keep,
-                    );
-                    if !self.pool.can_ever_fit(full_peak) {
-                        // The decode pool can never hold this request's
-                        // peak (the prefill pool could): the handoff is
-                        // dropped on arrival, its transferred bytes
-                        // discarded. The source already delivered token
-                        // 1, so the drop record keeps its TTFT; only the
-                        // continuation is lost.
-                        let h = self.inbound.remove(idx);
+            let (Reverse(prio), _, id) = key;
+            let full_peak = request_kv_bytes(&model, w.req().final_context(), keep);
+            // The resident prefix the admission reuses, as `(tokens,
+            // bytes, id)` — a fresh or recomputing prefill starts its
+            // cursor past those tokens; `None` drops a request whose peak
+            // can never fit.
+            let start = match w {
+                // The drop decision uses the *full* peak: a request must be
+                // servable even when its prefix is not resident, or a later
+                // prefix reclamation could leave an admitted-only-by-reuse
+                // victim unable to ever resume. A handoff the decode pool
+                // can never hold (the prefill pool could) is dropped on
+                // arrival, its transferred bytes discarded.
+                Waiting::Fresh(_) | Waiting::Handoff(_) if !self.pool.can_ever_fit(full_peak) => {
+                    None
+                }
+                // Prefix reuse: a resident prefix lets the prompt reserve
+                // only its unshared suffix and start the prefill past the
+                // shared region.
+                Waiting::Fresh(req) => Some(prefill_start(
+                    &self.pool,
+                    req.prefix,
+                    req.prompt_len,
+                    req.decode_len,
+                )),
+                // Swap resume. The cursor reuse holds only if the victim's
+                // own cursor already sat past its prefix at eviction (its
+                // swapped KV is then suffix-only) and the prefix entry
+                // survived reclamation.
+                Waiting::Suspended {
+                    flight: f,
+                    swapped_bytes,
+                } if *swapped_bytes > 0 => Some(
+                    resident_reuse(&self.pool, f.req.prefix)
+                        .filter(|&(_, tokens, _)| f.prefill_done >= tokens)
+                        .map_or((0, 0, None), |(pid, tokens, bytes)| {
+                            (tokens, bytes, Some(pid))
+                        }),
+                ),
+                // Drop-and-recompute resume: the prefill restarts over
+                // prompt + generated tokens, past a still-resident prefix.
+                Waiting::Suspended { flight: f, .. } => Some(prefill_start(
+                    &self.pool,
+                    f.req.prefix,
+                    f.req.prompt_len + f.tokens,
+                    f.req.decode_len - f.tokens,
+                )),
+                Waiting::Handoff(_) => Some((0, 0, None)),
+            };
+            let Some((start, pbytes, keep_id)) = start else {
+                let (_, w) = self.ready.pop_first().expect("the first entry exists");
+                let f = match w {
+                    Waiting::Fresh(req) => {
+                        self.fresh_waiting -= 1;
+                        // Never admitted: every instant on the record is
+                        // the drop's.
+                        InFlight {
+                            first_token_cycle: self.now,
+                            ..InFlight::new(req, self.now)
+                        }
+                    }
+                    // The source already delivered token 1, so the drop
+                    // record keeps its TTFT; only the continuation is lost.
+                    Waiting::Handoff(flight) => {
                         self.land_handoff(id);
-                        self.drop_request(h.flight, drops);
-                        continue;
+                        flight
                     }
-                    if !self.try_admit(id, full_peak, prio, None) {
-                        break;
+                    Waiting::Suspended { .. } => unreachable!("a victim has fit before"),
+                };
+                self.drop_request(f, drops);
+                continue;
+            };
+            if !self.try_admit(id, full_peak - pbytes, prio, keep_id) {
+                break;
+            }
+            // Victims rank strictly lower than the candidate, so it is
+            // still first.
+            let w = self
+                .ready
+                .remove(&key)
+                .expect("the candidate is still waiting");
+            let resumed = !matches!(w, Waiting::Fresh(_));
+            if let Some(pid) = keep_id {
+                self.pool.ref_prefix(pid);
+                self.prefix.reused_tokens += start as u64;
+            }
+            let mut f = match w {
+                Waiting::Fresh(req) => {
+                    self.fresh_waiting -= 1;
+                    if keep_id.is_some() {
+                        self.prefix.hits += 1;
+                    } else if req.prefix.is_some_and(|p| p.tokens > 0) {
+                        self.prefix.misses += 1;
                     }
-                    let h = self.inbound.remove(idx);
+                    InFlight {
+                        prefill_done: start,
+                        ..InFlight::new(req, self.now)
+                    }
+                }
+                Waiting::Suspended {
+                    flight: mut f,
+                    swapped_bytes,
+                } if swapped_bytes > 0 => {
+                    // Swap-in: restore the victim's KV from host memory,
+                    // stalling the device for the transfer.
+                    let cycles = self.preempt.transfer_cycles(swapped_bytes);
+                    self.now += cycles;
+                    self.pool.advance_clock(self.now);
+                    self.swap_cycles += cycles;
+                    self.ledger.swap_in(id);
+                    self.pool.grow_resident(id, swapped_bytes);
+                    let had_prefix = f
+                        .req
+                        .prefix
+                        .is_some_and(|p| p.tokens > 0 && f.prefill_done >= p.tokens);
+                    if keep_id.is_none() && had_prefix {
+                        // The victim's cursor leaned on a prefix that was
+                        // reclaimed while it was suspended: the restored
+                        // suffix KV is kept, but the missing prefix region
+                        // must be re-prefilled (attributed as replay — the
+                        // reclamation discarded computed KV).
+                        let target = if f.prefilled() {
+                            f.req.prefix.expect("had_prefix").tokens
+                        } else {
+                            f.prefill_target
+                        };
+                        f.replay_tokens = f.prefill_done.min(target);
+                        f.prefill_target = target;
+                        f.prefill_done = 0;
+                    }
+                    // Otherwise the cursor stands: the swapped KV, plus
+                    // any reused prefix, covers everything done.
+                    f
+                }
+                Waiting::Suspended { flight: mut f, .. } => {
+                    // Replay covers exactly the work the eviction
+                    // discarded: everything when the prefill had completed,
+                    // otherwise only the chunks it had finished (or the
+                    // replay region it was already re-running).
+                    let target = f.req.prompt_len + f.tokens;
+                    f.replay_tokens = if f.prefilled() {
+                        target
+                    } else {
+                        f.replay_tokens.max(f.prefill_done).min(target)
+                    };
+                    f.prefill_done = start;
+                    f.prefill_target = target;
+                    f
+                }
+                Waiting::Handoff(f) => {
                     // The ledger hands the transferred bytes over: they
                     // become resident KV under the fresh reservation
                     // (capped by it — the pools may disagree on the keep
                     // ratio).
                     let bytes = self.land_handoff(id);
                     self.pool.grow_resident(id, bytes.min(full_peak));
-                    self.activate(h.flight, true, 0);
+                    f
                 }
-                Source::Suspended => {
-                    let s = &self.suspended[idx];
-                    let f = &s.flight;
-                    let full_peak = request_kv_bytes(&model, f.req.final_context(), keep);
-                    if s.swapped_bytes > 0 {
-                        // Swap resume. The cursor reuse holds only if the
-                        // victim's own cursor already sat past its prefix
-                        // at eviction (its swapped KV is then suffix-only)
-                        // and the prefix entry survived reclamation.
-                        let reuse = resident_reuse(&self.pool, f.req.prefix)
-                            .filter(|&(_, tokens, _)| f.prefill_done >= tokens);
-                        let had_prefix = f
-                            .req
-                            .prefix
-                            .is_some_and(|p| p.tokens > 0 && f.prefill_done >= p.tokens);
-                        let (pbytes, keep_id) = match reuse {
-                            Some((pid, _, bytes)) => (bytes, Some(pid)),
-                            None => (0, None),
-                        };
-                        if !self.try_admit(id, full_peak - pbytes, prio, keep_id) {
-                            break;
-                        }
-                        let Suspended {
-                            flight: mut f,
-                            swapped_bytes,
-                        } = self.suspended.remove(idx);
-                        // Swap-in: restore the victim's KV from host
-                        // memory, stalling the device for the transfer.
-                        let cycles = self.preempt.transfer_cycles(swapped_bytes);
-                        self.now += cycles;
-                        self.pool.advance_clock(self.now);
-                        self.swap_cycles += cycles;
-                        self.ledger.swap_in(id);
-                        self.pool.grow_resident(id, swapped_bytes);
-                        let mut reused = 0;
-                        if let Some(pid) = keep_id {
-                            // The prefix KV survives in the shared ledger:
-                            // the cursor stands, only the suffix was moved.
-                            self.pool.ref_prefix(pid);
-                            reused = f.req.prefix.expect("reuse implies a prefix").tokens;
-                            self.prefix.reused_tokens += reused as u64;
-                            f.prefix_bytes = pbytes;
-                        } else if had_prefix {
-                            // The victim's cursor leaned on a prefix that
-                            // was reclaimed while it was suspended: the
-                            // restored suffix KV is kept, but the missing
-                            // prefix region must be re-prefilled
-                            // (attributed as replay — the reclamation
-                            // discarded computed KV).
-                            let target = if f.prefilled() {
-                                f.req.prefix.expect("had_prefix").tokens
-                            } else {
-                                f.prefill_target
-                            };
-                            f.replay_tokens = f.prefill_done.min(target);
-                            f.prefill_target = target;
-                            f.prefill_done = 0;
-                        }
-                        // Otherwise no prefix is involved: the cursor
-                        // survives because the swapped KV covers
-                        // everything done.
-                        self.activate(f, true, reused);
-                    } else {
-                        // Drop-and-recompute resume: the prefill restarts
-                        // over prompt + generated tokens. Replay covers
-                        // exactly the work the eviction discarded:
-                        // everything when the prefill had completed,
-                        // otherwise only the chunks it had finished (or
-                        // the replay region it was already re-running). A
-                        // still-resident prefix lets the restart skip the
-                        // shared region entirely.
-                        let target = f.req.prompt_len + f.tokens;
-                        let replay = if f.prefilled() {
-                            target
-                        } else {
-                            f.replay_tokens.max(f.prefill_done).min(target)
-                        };
-                        let (start, pbytes, keep_id) = prefill_start(
-                            &self.pool,
-                            f.req.prefix,
-                            target,
-                            f.req.decode_len - f.tokens,
-                        );
-                        if !self.try_admit(id, full_peak - pbytes, prio, keep_id) {
-                            break;
-                        }
-                        let mut f = self.suspended.remove(idx).flight;
-                        if let Some(pid) = keep_id {
-                            self.pool.ref_prefix(pid);
-                            self.prefix.reused_tokens += start as u64;
-                        }
-                        f.prefill_done = start;
-                        f.prefill_target = target;
-                        f.replay_tokens = replay;
-                        f.prefix_bytes = pbytes;
-                        self.activate(f, true, start);
-                    }
-                }
-                Source::Pending => {
-                    let req = &self.pending[idx];
-                    let full_peak = request_kv_bytes(&model, req.final_context(), keep);
-                    // The drop decision uses the *full* peak: a request
-                    // must be servable even when its prefix is not
-                    // resident, or a later prefix reclamation could leave
-                    // an admitted-only-by-reuse victim unable to ever
-                    // resume.
-                    if !self.pool.can_ever_fit(full_peak) {
-                        let req = self.pending.remove(idx).expect("index valid");
-                        // Never admitted: every instant on the record is
-                        // the drop's.
-                        let never = InFlight {
-                            first_token_cycle: self.now,
-                            ..InFlight::new(req, self.now)
-                        };
-                        self.drop_request(never, drops);
-                        continue;
-                    }
-                    // Prefix reuse: a resident prefix lets the prompt
-                    // reserve only its unshared suffix and start the
-                    // prefill past the shared region.
-                    let declared = req.prefix.is_some_and(|p| p.tokens > 0);
-                    let (start, pbytes, keep_id) =
-                        prefill_start(&self.pool, req.prefix, req.prompt_len, req.decode_len);
-                    if !self.try_admit(id, full_peak - pbytes, prio, keep_id) {
-                        break;
-                    }
-                    let req = self.pending.remove(idx).expect("index valid");
-                    if let Some(pid) = keep_id {
-                        self.pool.ref_prefix(pid);
-                        self.prefix.hits += 1;
-                        self.prefix.reused_tokens += start as u64;
-                    } else if declared {
-                        self.prefix.misses += 1;
-                    }
-                    let f = InFlight {
-                        prefill_done: start,
-                        prefix_bytes: pbytes,
-                        ..InFlight::new(req, self.now)
-                    };
-                    self.activate(f, false, start);
-                }
-            }
+            };
+            f.prefix_bytes = pbytes;
+            self.activate(f, resumed, start);
         }
     }
 
@@ -1340,7 +1287,7 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
             id: f.req.id,
             resumed,
             reused_prefix_tokens: reused_prefix_tokens as u32,
-            queue_depth: self.pending.len() as u32,
+            queue_depth: self.fresh_waiting as u32,
         });
         self.active.push(f);
         self.conc_log.push((self.now, 1));
@@ -1432,16 +1379,9 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
                     .iter()
                     .enumerate()
                     .filter(|(_, f)| f.req.priority < priority)
-                    .map(|(i, f)| (i, (f.req.priority, f.admitted_cycle, f.req.id)))
-                    .reduce(|a, b| {
-                        let later = b.1 .0 < a.1 .0
-                            || (b.1 .0 == a.1 .0
-                                && (b.1 .1 > a.1 .1 || (b.1 .1 == a.1 .1 && b.1 .2 > a.1 .2)));
-                        if later {
-                            b
-                        } else {
-                            a
-                        }
+                    .min_by_key(|(_, f)| {
+                        let admitted = cycle_key(f.admitted_cycle);
+                        (f.req.priority, Reverse(admitted), Reverse(f.req.id))
                     })
                     .map(|(i, _)| i)
             };
@@ -1481,10 +1421,18 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
                 }
             };
             let victim_id = f.req.id;
-            self.suspended.push(Suspended {
-                flight: f,
-                swapped_bytes,
-            });
+            let key = (
+                Reverse(f.req.priority),
+                cycle_key(f.req.arrival_cycle),
+                victim_id,
+            );
+            self.ready.insert(
+                key,
+                Waiting::Suspended {
+                    flight: f,
+                    swapped_bytes,
+                },
+            );
             self.conc_log.push((self.now, -1));
             self.record(TraceEvent::Preempt {
                 device: self.device,
@@ -1742,7 +1690,7 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
                 prefill_streams: spans.len() as u32,
                 decode_streams: decode_ids.len() as u32,
                 prefill_tokens: prefill_tokens as u32,
-                queue_depth: self.pending.len() as u32,
+                queue_depth: self.fresh_waiting as u32,
                 active_streams: self.active.len() as u32,
                 pool_reserved_bytes: self.pool.reserved_bytes(),
                 completions: completions as u32,
