@@ -688,9 +688,9 @@ impl<'a> ServeSim<'a> {
     }
 
     /// Checks a workload's internal consistency: every arrival is a
-    /// non-negative cycle, `+∞` (a closed-loop release) only in a
-    /// closed-loop workload that starts at least one request on the
-    /// clock; every declared [`crate::SharedPrefix`] must fit inside its
+    /// non-negative cycle or — in a closed-loop workload that starts at
+    /// least one request on the clock — `+∞`, released by a completion;
+    /// every declared [`crate::SharedPrefix`] must fit inside its
     /// request's prompt, and one [`PrefixId`] must always be declared with
     /// one length (ids are content-addressed).
     ///
