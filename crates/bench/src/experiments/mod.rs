@@ -5,7 +5,6 @@ mod architecture;
 mod comparison;
 mod disagg;
 mod motivation;
-mod parallel;
 mod serving;
 mod trace;
 
@@ -13,7 +12,6 @@ pub use architecture::{fig19, fig20, fig21, fig22, tab3};
 pub use comparison::{fig17, fig23, fig24a, fig24b, fig25, fig26, tab1, tab4};
 pub use disagg::serving_disagg;
 pub use motivation::{fig18, fig1a, fig4, fig5ab, fig5cd, fig5fg, fig8b, fig8c, tab2};
-pub use parallel::serving_parallel;
 pub use serving::{
     serving, serving_capacity, serving_fleet, serving_hetero, serving_mixed, serving_models,
     serving_slo,
@@ -54,7 +52,6 @@ pub fn all_ids() -> Vec<&'static str> {
         "serving_hetero",
         "serving_models",
         "serving_trace",
-        "serving_parallel",
         "serving_disagg",
     ]
 }
@@ -96,7 +93,6 @@ pub fn run(id: &str) -> Result<String, String> {
         "serving_hetero" => Ok(serving_hetero()),
         "serving_models" => Ok(serving_models()),
         "serving_trace" => Ok(serving_trace()),
-        "serving_parallel" => Ok(serving_parallel()),
         "serving_disagg" => Ok(serving_disagg()),
         other => Err(format!("unknown experiment id: {other}")),
     }

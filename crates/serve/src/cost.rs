@@ -51,8 +51,8 @@
 //! exercised end-to-end in `tests/step_cost_bucketing.rs` and the
 //! mixed-step serving tests.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::RwLock;
 
 use mcbp_workloads::{Accelerator, Task, TaskKind, TraceContext};
 
@@ -122,15 +122,13 @@ impl StepCost {
 /// in context, so the chord tracks the exact curve closely — the error is
 /// quantified end-to-end in `tests/step_cost_bucketing.rs`.
 ///
-/// The memo cache sits behind an [`RwLock`], so a uniform fleet can share
-/// one model across parallel device workers (`ServeConfig::fleet_workers`):
-/// lookups take the read lock, and racing misses recompute the same pure
-/// function of the key before a last-write-wins insert.
+/// The memo cache is a [`RefCell`], so the model is not `Sync`: a uniform
+/// fleet shares one model across its devices on the one drive thread.
 pub struct StepCostModel<'a> {
     accel: &'a dyn Accelerator,
     template: TraceContext,
     ctx_bucket: usize,
-    cache: RwLock<HashMap<(StepKind, usize, usize), StepCost>>,
+    cache: RefCell<HashMap<(StepKind, usize, usize), StepCost>>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -154,7 +152,7 @@ impl<'a> StepCostModel<'a> {
             accel,
             template,
             ctx_bucket,
-            cache: RwLock::new(HashMap::new()),
+            cache: RefCell::new(HashMap::new()),
         }
     }
 
@@ -304,23 +302,13 @@ impl<'a> StepCostModel<'a> {
     }
 
     /// Distinct accelerator invocations performed so far (cache misses).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache lock was poisoned (an accelerator panicked
-    /// mid-costing on another fleet worker).
     #[must_use]
     pub fn invocations(&self) -> usize {
-        self.cache.read().expect("cost cache poisoned").len()
+        self.cache.borrow().len()
     }
 
     fn costed(&self, kind: StepKind, batch: usize, len: usize) -> StepCost {
-        if let Some(hit) = self
-            .cache
-            .read()
-            .expect("cost cache poisoned")
-            .get(&(kind, batch, len))
-        {
+        if let Some(hit) = self.cache.borrow().get(&(kind, batch, len)) {
             return *hit;
         }
         let task = match kind {
@@ -352,13 +340,7 @@ impl<'a> StepCostModel<'a> {
             energy_pj: phase.total_pj(),
             reorder_pj: phase.reorder_pj,
         };
-        // Concurrent fleet workers may race to cost the same key; the
-        // computation is a pure function of the key, so last-write-wins
-        // inserts are idempotent and every caller observes the same cost.
-        self.cache
-            .write()
-            .expect("cost cache poisoned")
-            .insert((kind, batch, len), cost);
+        self.cache.borrow_mut().insert((kind, batch, len), cost);
         cost
     }
 }

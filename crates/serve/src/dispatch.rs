@@ -104,66 +104,19 @@
 //! handoffs compete for admission like any other candidate, keyed by
 //! their link-arrival instant, and may themselves preempt victims.
 //!
-//! # The parallel fleet drive
+//! # Deterministic merge
 //!
-//! The drive loop has one dispatch fixpoint and one advance site, where a
-//! small `Advance` enum picks how busy devices move forward. By default
-//! it steps the busy device with the earliest clock once. With
-//! [`ServeConfig::fleet_workers`](crate::ServeConfig::fleet_workers) set
-//! to two or more, it instead drives every busy device up to the next
-//! dispatch point at once, on a pool of scoped worker threads
-//! (`crate::parallel`), whenever no cross-device coupling is live; while
-//! one is, it steps one device at a time exactly like the default. All
-//! other code is shared, and the two modes are bit-exact.
-//!
-//! **Why devices are independent between dispatch points.** Let `H` be
-//! the arrival cycle of the earliest pending arrival. The
-//! dispatch gate only opens once the *minimum* clock among busy devices
-//! reaches `H`, so until every busy device's clock crosses `H` no new
-//! request enters the fleet, and the router observes nothing. In that
-//! window the one-step mode interleaves `step`/`admit` across devices
-//! (earliest clock first), but a device's queue, pool, and clock change
-//! only through its *own* steps and admissions — the interleaved
-//! admission passes on other devices are no-ops. Each busy device with
-//! clock below `H` therefore executes exactly the subsequence of
-//! operations the one-step mode would give it: `step` then `admit`,
-//! repeated while it has active work and its clock is below `H`. A
-//! parallel *phase* runs those per-device subsequences concurrently, then
-//! the loop re-runs the dispatch fixpoint. Closed-loop runs step one
-//! device at a time while unreleased population slots remain — there a
-//! completion anywhere feeds the global dispatcher — and parallelize the
-//! drain tail, where releases are no-ops.
-//!
-//! **Why handoffs do not break the independence argument.** A handoff is
-//! cross-device coupling the horizon cannot see: a `Prefill`-role device
-//! finishing a prompt mid-phase would hand the continuation to another
-//! device *before* `H`. The pool mode therefore steps one device at a
-//! time — earliest clock first — whenever any `Prefill`-role device holds
-//! active work, so every handoff is produced, routed, and booked in the
-//! one-step order. Once no `Prefill`-role device is busy, no new handoff
-//! can appear before the next dispatch point (only `Prefill`-role devices
-//! extract handoffs, and an idle device is not stepped mid-phase), and
-//! handoffs already *routed* are local state of their destination — a
-//! fixed arrival instant admitted by that device's own `admit`, no
-//! different from a queued arrival — so the phase argument above applies
-//! unchanged. In the common disaggregated regime the prefill pool drains
-//! prompts in bursts and the long decode tail dominates; the decode pool
-//! still parallelizes across workers.
-//!
-//! **Why the merge is deterministic.** Per-device end states are
-//! identical by the argument above, and every fleet aggregate is either
-//! accumulated in device index order, computed by an order-independent
-//! sweep (the fleet peak concurrency), or sorted by an explicit total
-//! order (the trace timeline's `(cycle, device, kind, seq)` key — see
-//! [`TraceEvent::order_key`]). The pool mode's [`ServeReport`] and
-//! [`RunTrace`] are asserted bit-equal to the one-step mode's across
-//! policies, heterogeneous fleets, preemption, and prefix reuse.
+//! The merge builds every fleet aggregate in one of three ways: folded in
+//! device-index order, computed by an order-independent sweep (the fleet
+//! peak concurrency), or sorted by an explicit total order (the trace
+//! timeline's `(cycle, device, kind, seq)` key — see
+//! [`TraceEvent::order_key`]). Identical per-device end states therefore
+//! merge into a bit-identical [`ServeReport`] and [`RunTrace`].
 
 use std::collections::VecDeque;
 
 use crate::arrival::Workload;
-use crate::parallel::PhaseQueue;
-use crate::profile::{DeviceProfile, DeviceRole};
+use crate::profile::DeviceProfile;
 use crate::record::{merge_event_logs, RunTrace, TraceEvent};
 use crate::report::{LatencyStats, PoolReport, ServeReport, StepReport};
 use crate::request::{PrefixId, Request, RequestRecord, SharedPrefix};
@@ -690,29 +643,10 @@ fn route_among(
 }
 
 /// One fleet device and the scheduler planning its steps — the unit the
-/// drive loop steps and the worker pool moves between threads.
+/// drive loop steps.
 struct Slot<'s, 'a, 'x> {
     dev: DeviceSim<'s, 'a>,
     sched: &'x mut dyn Scheduler,
-}
-
-/// One parallel-phase job: a busy device's slot, its fleet index, and the
-/// horizon it runs up to.
-struct Job<'s, 'a, 'x> {
-    index: usize,
-    slot: Slot<'s, 'a, 'x>,
-    horizon: f64,
-}
-
-/// How the drive loop advances busy devices after each dispatch fixpoint
-/// — the one place the sequential and the parallel drive differ.
-enum Advance<'q, J> {
-    /// Step the busy device with the earliest clock once.
-    Sequential,
-    /// Run every busy device below the next dispatch horizon up to it on
-    /// the worker pool behind this queue; while a cross-device coupling
-    /// is live, step like [`Advance::Sequential`] instead.
-    Pool(&'q PhaseQueue<J>),
 }
 
 /// The drive loop's state: one slot per device, the global arrival
@@ -775,15 +709,11 @@ impl<'s, 'a, 'x> Drive<'s, 'a, 'x> {
     }
 
     /// Drives the fleet until it drains: the dispatch fixpoint, then one
-    /// advance, repeated.
-    fn run(&mut self, router: &mut dyn Router, advance: Advance<'_, Job<'s, 'a, 'x>>) {
+    /// step of the earliest busy device, repeated.
+    fn run(&mut self, router: &mut dyn Router) {
         loop {
             self.dispatch_fixpoint(router);
-            let advanced = match advance {
-                Advance::Pool(queue) if !self.coupled() => self.run_phase(queue),
-                _ => self.step_earliest(),
-            };
-            if !advanced {
+            if !self.step_earliest() {
                 break; // drained
             }
         }
@@ -888,19 +818,6 @@ impl<'s, 'a, 'x> Drive<'s, 'a, 'x> {
         routed
     }
 
-    /// Whether a cross-device coupling is live, so devices are not
-    /// independent up to the next dispatch point: an unreleased
-    /// closed-loop slot (a completion on any device feeds the global
-    /// dispatcher) or a busy `Prefill`-role device (it could produce a
-    /// handoff the phase horizon cannot see — see the module docs).
-    fn coupled(&self) -> bool {
-        !self.unreleased.is_empty()
-            || self
-                .slots
-                .iter()
-                .any(|s| s.dev.role() == DeviceRole::Prefill && s.dev.has_active())
-    }
-
     /// Steps the busy device with the earliest clock once (ties toward the
     /// lowest index), releasing one closed-loop slot per completion.
     /// Returns `false` when no device is busy.
@@ -918,31 +835,6 @@ impl<'s, 'a, 'x> Drive<'s, 'a, 'x> {
         self.release(completions, now);
         true
     }
-
-    /// One parallel phase: every busy device below the next dispatch
-    /// horizon (the earliest pending arrival) runs up to it on the worker
-    /// pool. Returns `false` when no device is busy — after the fixpoint a
-    /// pending head implies a busy device with an earlier clock.
-    fn run_phase(&mut self, queue: &PhaseQueue<Job<'s, 'a, 'x>>) -> bool {
-        let horizon = self
-            .pending
-            .front()
-            .map_or(f64::INFINITY, |r| r.arrival_cycle);
-        let (jobs, mut rest): (Vec<_>, Vec<_>) = std::mem::take(&mut self.slots)
-            .into_iter()
-            .enumerate()
-            .map(|(index, slot)| Job {
-                index,
-                slot,
-                horizon,
-            })
-            .partition(|job| job.slot.dev.has_active() && job.slot.dev.now < horizon);
-        let advanced = !jobs.is_empty();
-        rest.extend(queue.run_phase(jobs));
-        rest.sort_unstable_by_key(|job| job.index);
-        self.slots = rest.into_iter().map(|job| job.slot).collect();
-        advanced
-    }
 }
 
 /// The drive loop behind every run: one scheduler slice and one profile
@@ -951,10 +843,7 @@ impl<'s, 'a, 'x> Drive<'s, 'a, 'x> {
 /// are logged too; the merged history — ordered by the explicit
 /// `(cycle, device, kind, seq)` key — is returned as the [`RunTrace`].
 /// Observation only: the simulated run itself is bit-exact with an
-/// untraced one, and with
-/// [`ServeConfig::fleet_workers`](crate::ServeConfig::fleet_workers) at
-/// two or more the devices advance on a scoped worker pool, bit-exact
-/// with the one-step mode (see the module docs).
+/// untraced one.
 pub(crate) fn drive<'a>(
     sim: &ServeSim<'a>,
     workload: &Workload,
@@ -967,25 +856,8 @@ pub(crate) fn drive<'a>(
     assert!(n >= 1, "at least one device");
     assert_eq!(n, profiles.len(), "one profile per scheduler slice");
     let name = report_name(scheds, router);
-    let workers = sim.config().fleet_workers.unwrap_or(1).min(n);
     let mut fleet = Drive::new(sim, workload, scheds, profiles, trace);
-    if workers < 2 {
-        fleet.run(router, Advance::Sequential);
-    } else {
-        let queue: PhaseQueue<Job<'_, '_, '_>> = PhaseQueue::new();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    while let Some(mut job) = queue.claim() {
-                        job.slot.dev.run_until(job.horizon, &mut *job.slot.sched);
-                        queue.complete(job);
-                    }
-                });
-            }
-            fleet.run(router, Advance::Pool(&queue));
-            queue.shutdown();
-        });
-    }
+    fleet.run(router);
     // Validation guarantees a closed loop starts at least one request, and
     // every completion or drop releases the next slot.
     debug_assert!(
@@ -1015,9 +887,8 @@ fn report_name(scheds: &[&mut dyn Scheduler], router: &dyn Router) -> String {
 /// pass has its `-1` sorted ahead of its own `+1`, correctly
 /// contributing zero occupancy — so non-negativity is asserted only at
 /// group boundaries, where every departure's admission has been
-/// counted. The sweep is order-independent across devices — it depends
-/// only on the union of the per-device delta logs — which keeps it
-/// identical between the one-step and the pool drive.
+/// counted. The sweep is order-independent across devices: it depends
+/// only on the union of the per-device delta logs.
 fn fleet_peak_concurrency(logs: &[&[(f64, i32)]]) -> usize {
     let mut deltas: Vec<(f64, i32)> = logs.iter().flat_map(|l| l.iter().copied()).collect();
     deltas.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
@@ -1044,7 +915,7 @@ fn fleet_peak_concurrency(logs: &[&[(f64, i32)]]) -> usize {
 /// built. Every aggregate is either accumulated in device index order,
 /// computed by an order-independent sweep, or sorted by an explicit total
 /// order, so identical per-device end states merge into bit-identical
-/// reports regardless of how the devices were advanced.
+/// reports.
 fn merge_fleet(
     workload: &Workload,
     mut devs: Vec<DeviceSim<'_, '_>>,
@@ -1238,8 +1109,7 @@ mod tests {
     /// of per-device peaks reached at different instants, and a
     /// departure and an admission at the same cycle do not overlap
     /// (half-open intervals). The sweep must also be independent of the
-    /// order devices are listed in, since the parallel drive steps them
-    /// in nondeterministic wall-clock order.
+    /// order devices are listed in.
     #[test]
     fn fleet_peak_concurrency_is_simultaneous_not_summed() {
         // Two devices, each peaking at 1, in disjoint windows: the old

@@ -129,8 +129,8 @@
 //! A [`HandoffLedger`] on the destination tracks every transfer's bytes
 //! from departure to admission so conservation is checkable at any
 //! cycle, and [`HandoffReport`] surfaces counts, bytes, and link time
-//! per lane and fleet-wide. See [`DispatchPolicy`] for the routing
-//! stages and why handoffs preserve deterministic parallel driving.
+//! per lane and fleet-wide. See [`DispatchPolicy`] for the two routing
+//! stages.
 //!
 //! **Prefix reuse.** Shared prompt prefixes (system prompts, few-shot
 //! headers) are the serving-granularity face of the repetitiveness MCBP
@@ -191,7 +191,6 @@
 mod arrival;
 mod cost;
 mod dispatch;
-mod parallel;
 mod pool;
 mod preempt;
 mod profile;

@@ -196,8 +196,8 @@ impl TraceEvent {
     /// pins every tie: same-cycle events from different devices order by
     /// device, same-device ties by kind rank, and remaining ties by
     /// emission order. Nothing is left to sort stability or log
-    /// concatenation order, so sequential and parallel fleet drives merge
-    /// identical per-device logs into identical timelines.
+    /// concatenation order, so identical per-device logs always merge into
+    /// identical timelines.
     #[must_use]
     pub fn order_key(&self) -> (f64, u32, u8) {
         (self.cycle(), self.device(), self.kind_rank())
@@ -233,8 +233,8 @@ pub(crate) fn merge_event_logs(logs: Vec<Vec<TraceEvent>>) -> Vec<TraceEvent> {
 /// workload that drove it (arrivals, shapes, classes, SLOs, prefixes —
 /// everything a replay needs, no generator RNG required) plus the merged
 /// event stream, sorted by the explicit `(cycle, device, kind, seq)`
-/// total order key ([`TraceEvent::order_key`]) — fully pinned, so
-/// sequential and parallel fleet drives produce the identical stream.
+/// total order key ([`TraceEvent::order_key`]) — fully pinned, so the
+/// stream never depends on the order the device logs are merged in.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunTrace {
     /// The workload the run served — replaying it under the same

@@ -478,7 +478,7 @@ pub struct ServeReport {
     /// completion or eviction; a departure and an admission at the same
     /// instant do not overlap). This is a true simultaneous fleet-wide
     /// peak — not a sum of per-device peaks taken at different local
-    /// instants — and is identical for sequential and parallel drives.
+    /// instants — and does not depend on the order devices are merged in.
     pub peak_concurrency: usize,
     /// Total accelerator energy in joules.
     pub energy_joules: f64,

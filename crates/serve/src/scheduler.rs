@@ -190,12 +190,7 @@ impl StepPlan {
 /// Implementations must be deterministic functions of the observed views
 /// (plus internal state) — no randomness, no wall clock — so that serving
 /// simulations replay exactly.
-///
-/// `Send` is a supertrait: under `ServeConfig::fleet_workers`, each
-/// device's scheduler is driven from a worker thread between dispatch
-/// points (never shared — one scheduler per device, so `Sync` is not
-/// required).
-pub trait Scheduler: Send {
+pub trait Scheduler {
     /// Display name used in reports.
     fn name(&self) -> &str;
 

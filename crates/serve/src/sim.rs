@@ -113,13 +113,9 @@ pub struct ServeConfig {
     /// latency is charged at the configured host link and is *not* scaled
     /// by the fleet (one host link per serving instance).
     pub preempt: PreemptConfig,
-    /// Worker threads for the fleet drive loop. `None` (the default) and
-    /// `Some(1)` step one device at a time; `Some(n ≥ 2)` drives
-    /// independent busy devices between dispatch points on a scoped
-    /// worker pool (see `crate::dispatch` module docs). Both modes are
-    /// bit-exact — identical [`ServeReport`] and `RunTrace` — regardless
-    /// of worker count, so this knob trades wall-clock time only, never
-    /// results.
+    /// Has no effect: the fleet drive is one sequential loop. The field
+    /// remains only because the `simbench/` benchmark sets it, and goes
+    /// once that caller stops setting it.
     pub fleet_workers: Option<usize>,
 }
 
@@ -153,6 +149,10 @@ pub enum ServeConfigError {
     ZeroPrefillChunk,
     /// `step_token_budget == Some(0)`: no step could schedule any token.
     ZeroStepTokenBudget,
+    /// The tensor-parallel [`ServeConfig::fleet`] has no device, or its
+    /// scaling efficiency is not in `(0, 1]` (NaN included): step
+    /// latencies and energies would come out infinite, negative, or NaN.
+    InvalidTensorParallel,
     /// The prefill chunk does not fit the step token budget, so a chunk
     /// step could never be scheduled and waiting prompts would starve.
     ChunkExceedsBudget {
@@ -168,9 +168,6 @@ pub enum ServeConfigError {
     /// A fleet run was given no device profiles: there is no device to
     /// dispatch to.
     EmptyFleet,
-    /// `fleet_workers == Some(0)`: no worker could ever step a device
-    /// (use `None` for the sequential reference loop).
-    ZeroFleetWorkers,
     /// A [`DeviceProfile`]'s throughput weight is zero, negative, or
     /// non-finite: weighted-JSQ dispatch would divide by it.
     ZeroThroughputProfile {
@@ -250,6 +247,11 @@ impl std::fmt::Display for ServeConfigError {
                     "step token budget must be positive (use None for alternating steps)"
                 )
             }
+            ServeConfigError::InvalidTensorParallel => write!(
+                f,
+                "a tensor-parallel fleet needs at least one device and a scaling \
+                 efficiency in (0, 1]"
+            ),
             ServeConfigError::ChunkExceedsBudget { chunk, budget } => write!(
                 f,
                 "prefill chunk ({chunk} tokens) exceeds the step token budget \
@@ -263,10 +265,6 @@ impl std::fmt::Display for ServeConfigError {
             ServeConfigError::EmptyFleet => {
                 write!(f, "a fleet needs at least one device profile")
             }
-            ServeConfigError::ZeroFleetWorkers => write!(
-                f,
-                "fleet workers must be positive (use None for the sequential loop)"
-            ),
             ServeConfigError::ZeroThroughputProfile { device } => write!(
                 f,
                 "device profile {device} has a non-positive throughput weight: \
@@ -353,8 +351,9 @@ impl ServeConfig {
         if self.prefill_chunk == Some(0) {
             return Err(ServeConfigError::ZeroPrefillChunk);
         }
-        if self.fleet_workers == Some(0) {
-            return Err(ServeConfigError::ZeroFleetWorkers);
+        let efficiency = self.fleet.scaling_efficiency;
+        if self.fleet.devices == 0 || efficiency.is_nan() || efficiency <= 0.0 || efficiency > 1.0 {
+            return Err(ServeConfigError::InvalidTensorParallel);
         }
         let link = self.preempt.host_link_bytes_per_cycle;
         if link.is_nan() || link <= 0.0 {
@@ -850,7 +849,7 @@ pub(crate) struct DeviceSim<'s, 'a> {
     /// `(cycle, -1)` when it leaves (eviction or completion). The fleet
     /// merge sweeps the union of every device's deltas for the true
     /// fleet-wide simultaneous peak — an order-independent reduction, so
-    /// it is deterministic under parallel device stepping.
+    /// the peak does not depend on the order devices are merged in.
     pub(crate) conc_log: Vec<(f64, i32)>,
     pub(crate) dispatched: usize,
     /// Fleet index of this device (stamped onto recorded events).
@@ -931,11 +930,6 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
     /// weighted-JSQ denominator).
     pub(crate) fn throughput(&self) -> f64 {
         self.throughput
-    }
-
-    /// This device's dispatch role.
-    pub(crate) fn role(&self) -> DeviceRole {
-        self.role
     }
 
     /// Appends one event to a traced run's log (no-op when untraced, so
@@ -1699,26 +1693,6 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
         completions
     }
 
-    /// Drives this device alone up to `horizon`: steps while it holds
-    /// active work and its clock sits strictly before the horizon,
-    /// re-running local admission after every step — exactly the
-    /// subsequence of the sequential drive loop that touches this device
-    /// between dispatch points, which is what makes the parallel fleet
-    /// phase bit-exact (see the `crate::dispatch` module docs). The
-    /// caller guarantees no cross-device coupling is live before
-    /// `horizon`: no dispatch is due, no closed-loop slot can release,
-    /// and no device can produce a handoff (every [`DeviceRole::Prefill`]
-    /// device is quiescent — the driver serializes whenever one is
-    /// busy). Inbound handoffs already routed to this device are fine:
-    /// their arrival instant is fixed, so admitting them is purely local
-    /// work.
-    pub(crate) fn run_until(&mut self, horizon: f64, scheduler: &mut dyn Scheduler) {
-        while self.has_active() && self.now < horizon {
-            self.step(scheduler);
-            self.admit();
-        }
-    }
-
     /// This device's report lane in a fleet run of `duration_cycles`
     /// (goodput and utilization are shares of the fleet span): its
     /// counts, the byte totals and peaks its ledgers hold, and its cycle
@@ -2256,8 +2230,32 @@ mod tests {
                 ServeConfigError::NonPositiveHostLink { device: None }
             );
         }
+        // A tensor-parallel group with no device, or an efficiency outside
+        // (0, 1], would run to infinite, negative, or NaN costs.
+        for (devices, scaling_efficiency) in [
+            (0, 1.0),
+            (2, 0.0),
+            (2, -0.5),
+            (2, f64::NAN),
+            (2, f64::INFINITY),
+            (2, 2.0),
+        ] {
+            let fleet = Fleet {
+                devices,
+                scaling_efficiency,
+            };
+            assert_eq!(
+                bad(ServeConfig {
+                    fleet,
+                    ..ServeConfig::default()
+                }),
+                ServeConfigError::InvalidTensorParallel,
+                "{fleet:?}"
+            );
+        }
         // The boundary case chunk == budget is legal (no piggyback slack,
-        // but chunk steps can still be scheduled), as are the defaults.
+        // but chunk steps can still be scheduled), as are the defaults and
+        // the in-repo tensor-parallel groups.
         assert!(ServeConfig {
             prefill_chunk: Some(512),
             step_token_budget: Some(512),
@@ -2266,6 +2264,14 @@ mod tests {
         .validate()
         .is_ok());
         assert!(ServeConfig::default().validate().is_ok());
+        for fleet in [Fleet::single(), Fleet::iso_tops(624.0, 4.2)] {
+            assert!(ServeConfig {
+                fleet,
+                ..ServeConfig::default()
+            }
+            .validate()
+            .is_ok());
+        }
     }
 
     #[test]

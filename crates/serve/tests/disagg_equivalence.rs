@@ -2,8 +2,7 @@
 //! fleet of explicitly `Unified` devices — even with an explicitly
 //! configured (zero-cost) host link — must produce the **bit-exact**
 //! `ServeReport` and `RunTrace` of the pre-disaggregation default
-//! profiles, under the sequential *and* the parallel drive, across every
-//! dispatch policy. `DeviceRole::Unified` is the default precisely so
+//! profiles, across every dispatch policy. `DeviceRole::Unified` is the default precisely so
 //! that every pre-existing configuration replays unchanged; this test
 //! pins that contract.
 
@@ -88,12 +87,8 @@ fn workload() -> Workload {
     }
 }
 
-fn sim(accel: &Toy, workers: Option<usize>) -> ServeSim<'_> {
-    let cfg = ServeConfig {
-        fleet_workers: workers,
-        ..ServeConfig::default()
-    };
-    ServeSim::try_new(accel, template(), cfg).expect("valid config")
+fn sim(accel: &Toy) -> ServeSim<'_> {
+    ServeSim::try_new(accel, template(), ServeConfig::default()).expect("valid config")
 }
 
 /// Explicit `Unified` roles (and an explicit link) are the identity: the
@@ -110,38 +105,31 @@ fn explicit_unified_roles_are_bit_exact_with_default_profiles() {
             .with_host_link(f64::INFINITY),
         DeviceProfile::uniform().with_role(DeviceRole::Unified),
     ];
+    let s = sim(&accel);
     for policy in DispatchPolicy::ALL {
-        for workers in [None, Some(3)] {
-            let s = sim(&accel, workers);
-            let mut mk = || -> Box<dyn mcbp_serve::Scheduler> {
-                Box::new(mcbp_serve::PriorityScheduler::new())
-            };
-            let (base_report, base_trace) =
-                s.run_fleet_profiles_traced(&workload, &baseline_profiles, policy, &mut mk);
-            let (uni_report, uni_trace) =
-                s.run_fleet_profiles_traced(&workload, &unified_profiles, policy, &mut mk);
-            assert_eq!(
-                base_report, uni_report,
-                "ServeReport diverged under {policy:?} (workers {workers:?})"
-            );
-            assert_eq!(
-                base_trace, uni_trace,
-                "RunTrace diverged under {policy:?} (workers {workers:?})"
-            );
-            // The identity fleet never touches the handoff machinery.
-            assert!(!uni_report.handoff.any());
-            assert_eq!(uni_trace.handoff_count(), 0);
-            assert_eq!(uni_report.completed, workload.requests.len());
-        }
+        let mut mk =
+            || -> Box<dyn mcbp_serve::Scheduler> { Box::new(mcbp_serve::PriorityScheduler::new()) };
+        let (base_report, base_trace) =
+            s.run_fleet_profiles_traced(&workload, &baseline_profiles, policy, &mut mk);
+        let (uni_report, uni_trace) =
+            s.run_fleet_profiles_traced(&workload, &unified_profiles, policy, &mut mk);
+        assert_eq!(
+            base_report, uni_report,
+            "ServeReport diverged under {policy:?}"
+        );
+        assert_eq!(base_trace, uni_trace, "RunTrace diverged under {policy:?}");
+        // The identity fleet never touches the handoff machinery.
+        assert!(!uni_report.handoff.any());
+        assert_eq!(uni_trace.handoff_count(), 0);
+        assert_eq!(uni_report.completed, workload.requests.len());
     }
 }
 
 /// A genuinely split fleet over a zero-cost link completes the same
 /// workload (prompt-only requests retire on the prefill side; everything
-/// else crosses the link), conserves every transferred byte, and the
-/// parallel drive reproduces the sequential one bit-exactly.
+/// else crosses the link) and conserves every transferred byte.
 #[test]
-fn zero_cost_split_fleet_serves_everything_and_drives_match() {
+fn zero_cost_split_fleet_serves_everything_and_conserves_handoffs() {
     let accel = Toy;
     let workload = workload();
     let split_profiles = [
@@ -159,34 +147,18 @@ fn zero_cost_split_fleet_serves_everything_and_drives_match() {
     for policy in DispatchPolicy::ALL {
         let mut mk =
             || -> Box<dyn mcbp_serve::Scheduler> { Box::new(mcbp_serve::PriorityScheduler::new()) };
-        let (seq_report, seq_trace) = sim(&accel, None).run_fleet_profiles_traced(
-            &workload,
-            &split_profiles,
-            policy,
-            &mut mk,
-        );
-        let (par_report, par_trace) = sim(&accel, Some(3)).run_fleet_profiles_traced(
-            &workload,
-            &split_profiles,
-            policy,
-            &mut mk,
-        );
-        assert_eq!(seq_report, par_report, "drives diverged under {policy:?}");
-        assert_eq!(seq_trace, par_trace, "traces diverged under {policy:?}");
-        assert_eq!(seq_report.completed, workload.requests.len());
+        let report = sim(&accel).run_fleet_profiles(&workload, &split_profiles, policy, &mut mk);
+        assert_eq!(report.completed, workload.requests.len());
         // Exactly the decode-carrying requests crossed the link, and the
         // zero-cost link charged no time for them.
-        assert_eq!(seq_report.handoff.handoffs_out as usize, decode_carrying);
-        assert_eq!(
-            seq_report.handoff.handoffs_in,
-            seq_report.handoff.handoffs_out
-        );
-        assert_eq!(seq_report.handoff.bytes_in, seq_report.handoff.bytes_out);
-        assert!(seq_report.handoff.bytes_out > 0);
-        assert_eq!(seq_report.handoff.link_seconds, 0.0);
+        assert_eq!(report.handoff.handoffs_out as usize, decode_carrying);
+        assert_eq!(report.handoff.handoffs_in, report.handoff.handoffs_out);
+        assert_eq!(report.handoff.bytes_in, report.handoff.bytes_out);
+        assert!(report.handoff.bytes_out > 0);
+        assert_eq!(report.handoff.link_seconds, 0.0);
         // Decode lanes never hand out; the prefill lane never hands in.
-        assert_eq!(seq_report.devices[0].handoff.handoffs_in, 0);
-        assert_eq!(seq_report.devices[1].handoff.handoffs_out, 0);
-        assert_eq!(seq_report.devices[2].handoff.handoffs_out, 0);
+        assert_eq!(report.devices[0].handoff.handoffs_in, 0);
+        assert_eq!(report.devices[1].handoff.handoffs_out, 0);
+        assert_eq!(report.devices[2].handoff.handoffs_out, 0);
     }
 }

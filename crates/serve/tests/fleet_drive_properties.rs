@@ -1,20 +1,18 @@
-//! Property-based equivalence of the sequential and parallel fleet
-//! drives: over arbitrary arrival traces, fleet widths, worker counts,
-//! dispatch policies, schedulers, pool pressure (preemption), shared
-//! prefixes, and open- versus closed-loop load, a run with
-//! `ServeConfig::fleet_workers = Some(w)` must produce the **bit-exact**
-//! `ServeReport` *and* `RunTrace` of the sequential reference
-//! (`fleet_workers = None`). The parallel drive is pure execution
-//! strategy; any observable divergence is a bug. Each fleet lane of the
-//! report must also be the device-order fold of its per-device lanes.
+//! Properties of the fleet drive over arbitrary arrival traces, fleet
+//! widths, dispatch policies, schedulers, pool pressure (preemption),
+//! shared prefixes, device roles, and open- versus closed-loop load: a
+//! traced run's `ServeReport` is **bit-exact** with an untraced run of
+//! the same fleet (recording only observes), every request is accounted
+//! for, and each fleet lane of the report is the device-order fold of its
+//! per-device lanes.
 
 use std::sync::OnceLock;
 
 use mcbp_model::LlmConfig;
 use mcbp_serve::{
     DeviceProfile, DeviceReport, DeviceRole, DispatchPolicy, HandoffReport, PoolReport,
-    PreemptReport, PrefixReport, Priority, Request, RequestId, Scheduler, ServeConfig, ServeReport,
-    ServeSim, SharedPrefix, SloSpec, StepReport, Workload,
+    PreemptReport, PrefixReport, Priority, Request, RequestId, RunSpec, Scheduler, ServeConfig,
+    ServeReport, ServeSim, SharedPrefix, SloSpec, StepReport, Workload,
 };
 use mcbp_workloads::{
     Accelerator, PhaseCost, RunReport, SparsityProfile, Task, TraceContext, WeightGenerator,
@@ -208,22 +206,18 @@ fn fleet_lanes_fold_devices(report: &ServeReport) -> Result<(), TestCaseError> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// The tentpole equivalence property. `workers` ranges over 1 (the
-    /// parallel entry immediately reduces to the sequential path), 2,
-    /// and up to the fleet width; `hetero` skews per-device throughput
-    /// weights; a tight pool budget exercises preemption on some cases;
-    /// `roles` specializes the fleet into disaggregated prefill/decode
-    /// pools (0 = all `Unified`, 1 = split `Prefill`/`Decode`, 2 = one
-    /// `Prefill` device feeding `Unified` peers), so KV handoffs race the
-    /// parallel drive's phase boundaries too.
+    /// `hetero` skews per-device throughput weights; a tight pool budget
+    /// exercises preemption on some cases; `roles` specializes the fleet
+    /// into disaggregated prefill/decode pools (0 = all `Unified`, 1 =
+    /// split `Prefill`/`Decode`, 2 = one `Prefill` device feeding
+    /// `Unified` peers), so KV handoffs cross the fleet too.
     #[test]
-    fn parallel_drive_is_bit_exact_with_the_sequential_reference(
+    fn traced_fleet_runs_are_bit_exact_accounted_and_fold_their_lanes(
         raw in proptest::collection::vec(
             ((1usize..400, 0usize..10, 0u32..2_000_000), (0u8..2, 0u8..2)),
             1..20,
         ),
         devices in 2usize..=4,
-        workers in 1usize..=4,
         policy_ix in 0usize..DispatchPolicy::ALL.len(),
         priority_sched in 0u8..2,
         hetero in 0u8..2,
@@ -244,9 +238,7 @@ proptest! {
             kv_budget_bytes: budget,
             ..ServeConfig::default()
         };
-        let seq_sim = ServeSim::try_new(&accel, template(), base.clone()).expect("valid config");
-        let par_cfg = ServeConfig { fleet_workers: Some(workers), ..base };
-        let par_sim = ServeSim::try_new(&accel, template(), par_cfg).expect("valid config");
+        let sim = ServeSim::try_new(&accel, template(), base).expect("valid config");
         let profiles: Vec<DeviceProfile> = (0..devices)
             .map(|i| {
                 let t = if hetero == 1 { 1.0 + 0.5 * i as f64 } else { 1.0 };
@@ -264,22 +256,20 @@ proptest! {
             })
             .collect();
         let mut mk = || make_scheduler(priority_sched == 1);
-        let (seq_report, seq_trace) =
-            seq_sim.run_fleet_profiles_traced(&workload, &profiles, policy, &mut mk);
-        let (par_report, par_trace) =
-            par_sim.run_fleet_profiles_traced(&workload, &profiles, policy, &mut mk);
+        let traced = sim
+            .run_spec(&workload, RunSpec::fleet(&profiles, policy).traced(), &mut mk)
+            .expect("valid fleet run");
+        let untraced = sim
+            .run_spec(&workload, RunSpec::fleet(&profiles, policy), &mut mk)
+            .expect("valid fleet run");
         prop_assert_eq!(
-            &seq_report, &par_report,
-            "ServeReport diverged ({:?}, {} devices, {} workers)",
-            policy, devices, workers
+            &traced.report, &untraced.report,
+            "recording changed the report ({:?}, {} devices)",
+            policy, devices
         );
-        prop_assert_eq!(
-            &seq_trace, &par_trace,
-            "RunTrace diverged ({:?}, {} devices, {} workers)",
-            policy, devices, workers
-        );
+        prop_assert!(traced.trace.is_some() && untraced.trace.is_none());
         // Sanity: the runs actually served the trace.
-        prop_assert_eq!(seq_report.completed + seq_report.dropped, raw.len());
-        fleet_lanes_fold_devices(&seq_report)?;
+        prop_assert_eq!(traced.report.completed + traced.report.dropped, raw.len());
+        fleet_lanes_fold_devices(&traced.report)?;
     }
 }

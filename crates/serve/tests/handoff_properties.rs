@@ -20,7 +20,7 @@ use mcbp_workloads::{
 use proptest::prelude::*;
 
 /// Analytic accelerator with the qualitative serving shape (see
-/// `parallel_drive_properties.rs`): exact arithmetic, fast enough for
+/// `fleet_drive_properties.rs`): exact arithmetic, fast enough for
 /// hundreds of simulated fleet runs.
 struct Toy;
 

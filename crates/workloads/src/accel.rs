@@ -102,11 +102,7 @@ impl RunReport {
 
 /// The interface every modeled design implements — MCBP, its ablations,
 /// and all baselines — so every comparison figure runs identical inputs.
-///
-/// `Send + Sync` is a supertrait: cost models are pure functions of their
-/// configuration (no interior mutability), and the serving layer shares
-/// one accelerator across parallel fleet device workers.
-pub trait Accelerator: Send + Sync {
+pub trait Accelerator {
     /// Display name (as used in figure legends).
     fn name(&self) -> &str;
 
