@@ -2,9 +2,9 @@
 //! fleet of explicitly `Unified` devices — even with an explicitly
 //! configured (zero-cost) host link — must produce the **bit-exact**
 //! `ServeReport` and `RunTrace` of the pre-disaggregation default
-//! profiles, across every dispatch policy. `DeviceRole::Unified` is the default precisely so
-//! that every pre-existing configuration replays unchanged; this test
-//! pins that contract.
+//! profiles, across every dispatch policy. `DeviceRole::Unified` is the
+//! default precisely so that every pre-existing configuration replays
+//! unchanged; this test pins that contract.
 
 use std::sync::OnceLock;
 
