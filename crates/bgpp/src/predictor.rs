@@ -147,16 +147,18 @@ impl ProgressivePredictor {
             // early-termination traffic saving.
             stats.k_bits_fetched += (alive.len() * d) as u64;
             for &j in &alive {
+                // One adder-tree input per set magnitude bit, walked 64
+                // columns at a time; the sign word picks add or subtract.
                 let mut dot = 0i64;
-                for (i, &qv) in q.iter().enumerate() {
-                    if plane.get(j, i) {
-                        let signed = if keys.sign().get(j, i) {
-                            -i64::from(qv)
-                        } else {
-                            i64::from(qv)
-                        };
-                        dot += signed;
-                        stats.adds += 1;
+                let words = plane.row_words(j).iter().zip(keys.sign().row_words(j));
+                for (w, (&mag, &neg)) in words.enumerate() {
+                    stats.adds += u64::from(mag.count_ones());
+                    let mut bits = mag;
+                    while bits != 0 {
+                        let bit = bits.trailing_zeros();
+                        let qv = i64::from(q[w * 64 + bit as usize]);
+                        dot += if (neg >> bit) & 1 == 1 { -qv } else { qv };
+                        bits &= bits - 1;
                     }
                 }
                 psum[j] += dot * weight;

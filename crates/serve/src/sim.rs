@@ -231,6 +231,12 @@ pub enum ServeConfigError {
     /// A closed-loop workload whose every arrival is `+∞`: no request
     /// ever starts, so no completion ever releases the rest.
     ClosedLoopNeverStarts,
+    /// A request has neither a prompt nor a decode token: no step could
+    /// ever schedule it, so it would wedge its device.
+    EmptyRequest {
+        /// The offending request.
+        request: RequestId,
+    },
 }
 
 impl std::fmt::Display for ServeConfigError {
@@ -326,6 +332,11 @@ impl std::fmt::Display for ServeConfigError {
                 f,
                 "a closed-loop workload needs at least one finite arrival: \
                  otherwise no completion ever releases the rest"
+            ),
+            ServeConfigError::EmptyRequest { request } => write!(
+                f,
+                "request {request} has no prompt and no decode token: \
+                 no step could ever serve it"
             ),
         }
     }
@@ -689,14 +700,16 @@ impl<'a> ServeSim<'a> {
     /// Checks a workload's internal consistency: every arrival is a
     /// non-negative cycle or — in a closed-loop workload that starts at
     /// least one request on the clock — `+∞`, released by a completion;
-    /// every declared [`crate::SharedPrefix`] must fit inside its
-    /// request's prompt, and one [`PrefixId`] must always be declared with
-    /// one length (ids are content-addressed).
+    /// every request has at least one prompt or decode token; every
+    /// declared [`crate::SharedPrefix`] must fit inside its request's
+    /// prompt, and one [`PrefixId`] must always be declared with one
+    /// length (ids are content-addressed).
     ///
     /// # Errors
     ///
     /// Returns [`ServeConfigError::InvalidArrival`],
     /// [`ServeConfigError::NeverArrives`],
+    /// [`ServeConfigError::EmptyRequest`],
     /// [`ServeConfigError::PrefixExceedsPrompt`] or
     /// [`ServeConfigError::PrefixLengthConflict`] for the first
     /// offending request, else
@@ -711,6 +724,9 @@ impl<'a> ServeSim<'a> {
             }
             if a.is_infinite() && workload.closed_loop.is_none() {
                 return Err(ServeConfigError::NeverArrives { request: r.id });
+            }
+            if r.prompt_len == 0 && r.decode_len == 0 {
+                return Err(ServeConfigError::EmptyRequest { request: r.id });
             }
             if let Some(p) = r.prefix {
                 if p.tokens > r.prompt_len {

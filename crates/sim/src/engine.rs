@@ -1,3 +1,6 @@
+use std::cell::RefCell;
+use std::collections::HashMap;
+
 use mcbp_bgpp::{BgppConfig, ProgressivePredictor};
 use mcbp_bitslice::{BitPlanes, IntMatrix};
 use mcbp_mem::{EnergyBreakdown, Hbm};
@@ -53,7 +56,9 @@ impl PredictionCalibration {
             .collect();
         // Radius in integer units is α-scaled; bisect α (allowing > 1 to
         // reach keep → 1.0).
-        let eval = |alpha: f32| -> (f64, f64, f64) {
+        // Returns the mean keep, bits and adds fractions, and the rounds
+        // the predictor executed.
+        let eval = |alpha: f32| -> (f64, f64, f64, usize) {
             let cfg = BgppConfig {
                 alpha: vec![alpha],
                 ..base.clone()
@@ -62,30 +67,36 @@ impl PredictionCalibration {
             let mut kept = 0.0;
             let mut bits = 0.0;
             let mut adds = 0.0;
+            let mut rounds = 0;
             for q in &qs {
                 let out = p.predict(q, &planes, 0.002);
                 kept += out.survivors.len() as f64 / s as f64;
                 bits += out.stats.k_bits_fetched as f64 / (s * d * 8) as f64;
                 adds += out.stats.adds as f64 / (s * d) as f64;
+                rounds = out.stats.rounds_executed;
             }
             let n = queries as f64;
-            (kept / n, bits / n, adds / n)
+            (kept / n, bits / n, adds / n, rounds)
         };
         let (mut lo, mut hi) = (0.0f32, 4.0f32);
         for _ in 0..24 {
             let mid = 0.5 * (lo + hi);
-            let (keep, _, _) = eval(mid);
+            let (keep, ..) = eval(mid);
             if keep < target_keep {
                 lo = mid;
             } else {
                 hi = mid;
             }
         }
-        let (keep, bits, adds) = eval(hi);
+        let (keep, bits, adds, rounds) = eval(hi);
         PredictionCalibration {
             keep_fraction: keep.max(target_keep),
             predicted_bits_fraction: bits,
-            kept_refetch_fraction: (8.0 - (base.rounds as f64 + 1.0)) / 8.0,
+            // The formal stage fetches the magnitude planes prediction did
+            // not stream. `predict` stops at the keys' seven magnitude
+            // planes, so rounds past them refetch nothing, never a
+            // negative share.
+            kept_refetch_fraction: (8.0 - (rounds as f64 + 1.0)) / 8.0,
             adds_per_key_elem: adds,
         }
     }
@@ -107,9 +118,25 @@ impl PredictionCalibration {
 pub type UnitEnergy = EnergyBreakdown;
 
 /// The MCBP cycle-level simulator.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// It calibrates the BGPP predictor once per distinct attention keep and
+/// keeps the result for its lifetime, so every later run at that keep
+/// costs only the analytical model. The memo sits in a [`RefCell`],
+/// which makes the simulator `!Sync`: share it by reference within one
+/// thread. Two simulators compare equal when their configurations do.
+#[derive(Debug, Clone)]
 pub struct McbpSim {
     cfg: McbpConfig,
+    /// [`PredictionCalibration::measure`] results keyed by the bits of the
+    /// clamped keep. `measure` replaces α and runs on a fixed seed, and
+    /// `cfg` never changes, so the keep alone determines each entry.
+    calibrations: RefCell<HashMap<u64, PredictionCalibration>>,
+}
+
+impl PartialEq for McbpSim {
+    fn eq(&self, other: &Self) -> bool {
+        self.cfg == other.cfg
+    }
 }
 
 struct PhaseTotals {
@@ -130,7 +157,10 @@ impl McbpSim {
     #[must_use]
     pub fn new(cfg: McbpConfig) -> Self {
         assert!(cfg.pe_clusters >= 1 && cfg.pes_per_cluster >= 1, "need PEs");
-        McbpSim { cfg }
+        McbpSim {
+            cfg,
+            calibrations: RefCell::default(),
+        }
     }
 
     /// The configuration.
@@ -147,10 +177,14 @@ impl McbpSim {
         let prefill = self.phase_totals(&trace, PhaseTag::Prefill, ctx);
         let decode = self.phase_totals(&trace, PhaseTag::Decode, ctx);
         let keep = ctx.attention_keep.clamp(0.01, 1.0);
-        // One prediction calibration per run (both phases share the
-        // operating point).
+        // One prediction calibration per distinct keep per simulator (both
+        // phases share the operating point).
         let pred = if self.cfg.enable_bgpp {
-            PredictionCalibration::measure(&self.cfg.bgpp, keep, 0x5eed)
+            *self
+                .calibrations
+                .borrow_mut()
+                .entry(keep.to_bits())
+                .or_insert_with(|| PredictionCalibration::measure(&self.cfg.bgpp, keep, 0x5eed))
         } else {
             PredictionCalibration::value_level(4, keep)
         };
@@ -475,6 +509,56 @@ mod tests {
             "bits fraction {}",
             cal.predicted_bits_fraction
         );
+    }
+
+    #[test]
+    fn rounds_past_the_key_planes_cost_like_all_seven() {
+        // INT8 keys have seven magnitude planes, so eight or twelve rounds
+        // run the same seven and must refetch no negative share.
+        let c = ctx(Task::wikitext2(), 1);
+        let at = |rounds| {
+            let bgpp = BgppConfig {
+                rounds,
+                ..BgppConfig::standard()
+            };
+            let cal = PredictionCalibration::measure(&bgpp, 0.3, 0x5eed);
+            let sim = McbpSim::new(McbpConfig {
+                bgpp,
+                ..McbpConfig::default()
+            });
+            (cal, sim.run_detailed(&c))
+        };
+        let seven = at(7);
+        for rounds in [8, 12] {
+            let past = at(rounds);
+            assert!(
+                (0.0..=1.0).contains(&past.0.kept_refetch_fraction),
+                "rounds {rounds}: refetch {}",
+                past.0.kept_refetch_fraction
+            );
+            assert_eq!(past, seven, "rounds {rounds}");
+        }
+    }
+
+    #[test]
+    fn calibration_memo_is_invisible() {
+        let mut c = ctx(Task::wikitext2(), 1);
+        let memo = McbpSim::new(McbpConfig::default());
+        // 0.0 and 0.005 clamp onto one key, 1.5 onto 1.0's.
+        for keep in [0.3, 0.5, 0.3, 0.0, 0.005, 1.5] {
+            c.attention_keep = keep;
+            let fresh = McbpSim::new(McbpConfig::default()).run_detailed(&c);
+            assert_eq!(memo.run_detailed(&c), fresh, "keep {keep}");
+        }
+        assert_eq!(memo.calibrations.borrow().len(), 4);
+        assert_eq!(memo, McbpSim::new(McbpConfig::default()));
+
+        let value_level = McbpSim::new(McbpConfig {
+            enable_bgpp: false,
+            ..McbpConfig::default()
+        });
+        let _ = value_level.run_detailed(&c);
+        assert!(value_level.calibrations.borrow().is_empty());
     }
 
     #[test]

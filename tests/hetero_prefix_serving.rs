@@ -319,7 +319,7 @@ fn fleet_and_workload_validation_returns_typed_errors() {
         })
     );
     // An arrival that can never be served is rejected, not silently left
-    // out of the records.
+    // out of the records; so is a request with no token to serve.
     let arriving = |arrivals: [f64; 3], closed_loop| Workload {
         requests: arrivals
             .iter()
@@ -328,30 +328,40 @@ fn fleet_and_workload_validation_returns_typed_errors() {
             .collect(),
         closed_loop,
     };
+    let sized = |lens: [(usize, usize); 3]| Workload {
+        requests: lens
+            .iter()
+            .enumerate()
+            .map(|(i, &(prompt, decode))| {
+                let task = Task::cola().with_prompt(prompt).with_decode(decode);
+                Request::from_task(i as u64, &task, i as f64)
+            })
+            .collect(),
+        closed_loop: None,
+    };
     let single = [DeviceProfile::uniform()];
-    for (arrivals, closed_loop, expected) in [
+    for (w, expected) in [
         (
-            [0.0, f64::NAN, 2.0],
-            None,
+            arriving([0.0, f64::NAN, 2.0], None),
             ServeConfigError::InvalidArrival { request: 1 },
         ),
         (
-            [0.0, 1.0, -1.0],
-            Some(2),
+            arriving([0.0, 1.0, -1.0], Some(2)),
             ServeConfigError::InvalidArrival { request: 2 },
         ),
         (
-            [0.0, 1.0, f64::INFINITY],
-            None,
+            arriving([0.0, 1.0, f64::INFINITY], None),
             ServeConfigError::NeverArrives { request: 2 },
         ),
         (
-            [f64::INFINITY; 3],
-            Some(3),
+            arriving([f64::INFINITY; 3], Some(3)),
             ServeConfigError::ClosedLoopNeverStarts,
         ),
+        (
+            sized([(0, 0), (0, 4), (4, 0)]),
+            ServeConfigError::EmptyRequest { request: 0 },
+        ),
     ] {
-        let w = arriving(arrivals, closed_loop);
         assert_eq!(ServeSim::validate_workload(&w).err(), Some(expected));
         assert_eq!(
             sim.run_spec(
@@ -364,9 +374,19 @@ fn fleet_and_workload_validation_returns_typed_errors() {
         );
     }
     // A closed loop that starts one request releases the rest, and
-    // `-0.0` is a valid start.
+    // `-0.0` is a valid start. A prompt-only or decode-only request is
+    // servable.
     assert_eq!(
         ServeSim::validate_workload(&arriving([-0.0, f64::INFINITY, f64::INFINITY], Some(1))),
         Ok(())
     );
+    let servable = sized([(0, 4), (4, 0), (4, 4)]);
+    assert_eq!(ServeSim::validate_workload(&servable), Ok(()));
+    assert!(sim
+        .run_spec(
+            &servable,
+            RunSpec::fleet(&single, DispatchPolicy::RoundRobin),
+            &mut mk
+        )
+        .is_ok());
 }
