@@ -134,6 +134,11 @@ impl Engine {
     /// let report = sim.run(&load, &mut ContinuousBatchScheduler::new());
     /// assert_eq!(report.completed, 3);
     /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics on an invalid `cfg` or a `keep` outside `(0, 1]`, as
+    /// [`mcbp_serve::ServeSim::new`] does.
     #[must_use]
     pub fn serve_sim(&self, keep: f64, cfg: mcbp_serve::ServeConfig) -> mcbp_serve::ServeSim<'_> {
         mcbp_serve::ServeSim::new(&self.sim, self.context(&Task::cola(), 1, keep), cfg)

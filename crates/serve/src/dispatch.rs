@@ -18,7 +18,8 @@
 //! A [`RunSpec`] names the fleet's profiles, its router (a built-in
 //! [`DispatchPolicy`] or a custom [`Router`]), and whether to record a
 //! [`RunTrace`]. The call rejects an invalid fleet or workload with a
-//! typed [`ServeConfigError`] and returns a [`RunOutcome`].
+//! typed [`ServeConfigError`] and returns a [`RunOutcome`]: the report,
+//! the trace, and the run's [`WorkCounts`].
 //! [`ServeSim::run`] is the one-device convenience over the same drive
 //! loop.
 //!
@@ -197,7 +198,8 @@ pub struct DeviceView {
     /// Device index within the fleet.
     pub device: usize,
     /// Remaining work queued on the device, in tokens (pending prompts
-    /// and decodes plus unfinished admitted/suspended work).
+    /// and decodes, unfinished admitted/suspended work, and handoffs still
+    /// on the host link toward it).
     pub queued_tokens: u64,
     /// The device's KV-pool byte budget.
     pub pool_budget_bytes: u64,
@@ -398,8 +400,8 @@ impl<'r, 'a> RunSpec<'r, 'a> {
     }
 }
 
-/// What [`ServeSim::run_spec`] returns: the merged report, plus the
-/// recorded history when the [`RunSpec`] asked for one.
+/// What [`ServeSim::run_spec`] returns: the merged report, the recorded
+/// history when the [`RunSpec`] asked for one, and the run's work counts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunOutcome {
     /// The merged report, with one [`DeviceReport`](crate::DeviceReport)
@@ -408,6 +410,38 @@ pub struct RunOutcome {
     /// The run's recorded history: `Some` exactly when the spec was
     /// [`RunSpec::traced`].
     pub trace: Option<RunTrace>,
+    /// How much per-request work the drive did, summed over the fleet.
+    pub work: WorkCounts,
+}
+
+/// Deterministic counts of the drive's per-request work units, each
+/// incremented where the work happens. They explain the simulator's host
+/// time without a clock: a run whose counts per request stay flat as
+/// traffic grows has no super-linear cliff. They sit beside the report,
+/// not in it, so no report or trace digest depends on them, and recording
+/// a trace leaves them unchanged.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WorkCounts {
+    /// Requests summed into a device's queued-token count, over every
+    /// [`DeviceView`] built.
+    pub queue_entries: u64,
+    /// Waiting requests the admission passes examined as the next
+    /// candidate.
+    pub admission_candidates: u64,
+    /// [`SchedEntry`](crate::SchedEntry) rows built for the schedulers.
+    pub sched_entries: u64,
+    /// [`DeviceView`]s built for routing decisions.
+    pub router_views: u64,
+}
+
+impl WorkCounts {
+    /// Adds `other`'s counts to these.
+    fn absorb(&mut self, other: &WorkCounts) {
+        self.queue_entries += other.queue_entries;
+        self.admission_candidates += other.admission_candidates;
+        self.sched_entries += other.sched_entries;
+        self.router_views += other.router_views;
+    }
 }
 
 impl<'a> ServeSim<'a> {
@@ -484,15 +518,14 @@ impl<'a> ServeSim<'a> {
             }
             Routing::Custom(router) => router,
         };
-        let (report, trace) = drive(
+        Ok(drive(
             self,
             workload,
             &mut refs,
             &spec.profiles,
             router,
             spec.trace,
-        );
-        Ok(RunOutcome { report, trace })
+        ))
     }
 
     /// Runs one workload across a profiled fleet under a built-in
@@ -564,7 +597,7 @@ fn release_next_closed_loop(
 }
 
 /// One device's [`DeviceView`] as of its own clock.
-fn device_view(i: usize, d: &DeviceSim<'_, '_>) -> DeviceView {
+fn device_view(i: usize, d: &mut DeviceSim<'_, '_>) -> DeviceView {
     DeviceView {
         device: i,
         queued_tokens: d.queued_tokens(),
@@ -622,6 +655,7 @@ fn route_among(
     router: &mut dyn Router,
     req: &Request,
     set: &[usize],
+    work: &mut WorkCounts,
     mut view_of: impl FnMut(usize) -> DeviceView,
 ) -> usize {
     let views: Vec<DeviceView> = set
@@ -632,6 +666,7 @@ fn route_among(
             ..view_of(i)
         })
         .collect();
+    work.router_views += views.len() as u64;
     let pick = router.route(req, &views);
     assert!(
         pick < set.len(),
@@ -650,8 +685,8 @@ struct Slot<'s, 'a, 'x> {
 }
 
 /// The drive loop's state: one slot per device, the global arrival
-/// queue, the closed-loop slots not yet released, the routing plan, and
-/// the router's trace log.
+/// queue, the closed-loop slots not yet released, the routing plan, the
+/// router's trace log, and the routing share of the work counts.
 struct Drive<'s, 'a, 'x> {
     slots: Vec<Slot<'s, 'a, 'x>>,
     /// Undispatched requests with a finite arrival, kept arrival-sorted
@@ -666,6 +701,8 @@ struct Drive<'s, 'a, 'x> {
     trace: bool,
     /// Routing decisions of a traced run (stage-1 routes and handoffs).
     route_log: Vec<TraceEvent>,
+    /// The router views built; the devices' own counts join at the merge.
+    work: WorkCounts,
 }
 
 impl<'s, 'a, 'x> Drive<'s, 'a, 'x> {
@@ -705,6 +742,7 @@ impl<'s, 'a, 'x> Drive<'s, 'a, 'x> {
             plan: StagePlan::new(profiles),
             trace,
             route_log: Vec::new(),
+            work: WorkCounts::default(),
         }
     }
 
@@ -753,8 +791,8 @@ impl<'s, 'a, 'x> Drive<'s, 'a, 'x> {
                 let req = self.pending.pop_front().expect("head exists");
                 // Stage 1: prompts route over the prefill-capable devices
                 // (the whole fleet unless it is role-specialized).
-                let target = route_among(router, &req, &self.plan.prefill, |i| {
-                    device_view(i, &self.slots[i].dev)
+                let target = route_among(router, &req, &self.plan.prefill, &mut self.work, |i| {
+                    device_view(i, &mut self.slots[i].dev)
                 });
                 if self.trace {
                     self.route_log.push(TraceEvent::Route {
@@ -795,8 +833,8 @@ impl<'s, 'a, 'x> Drive<'s, 'a, 'x> {
         for src in 0..self.slots.len() {
             for h in self.slots[src].dev.take_outbound() {
                 let req = &h.flight.req;
-                let target = route_among(router, req, &self.plan.decode, |i| {
-                    device_view(i, &self.slots[i].dev)
+                let target = route_among(router, req, &self.plan.decode, &mut self.work, |i| {
+                    device_view(i, &mut self.slots[i].dev)
                 });
                 let cycles = self.slots[src].dev.handoff_transfer_cycles(h.bytes);
                 let arrival = h.ready_cycle + cycles;
@@ -842,8 +880,8 @@ impl<'s, 'a, 'x> Drive<'s, 'a, 'x> {
 /// admission/step/preemption events and the router's dispatch decisions
 /// are logged too; the merged history — ordered by the explicit
 /// `(cycle, device, kind, seq)` key — is returned as the [`RunTrace`].
-/// Observation only: the simulated run itself is bit-exact with an
-/// untraced one.
+/// Observation only: the simulated run itself, and its work counts, are
+/// bit-exact with an untraced one.
 pub(crate) fn drive<'a>(
     sim: &ServeSim<'a>,
     workload: &Workload,
@@ -851,7 +889,7 @@ pub(crate) fn drive<'a>(
     profiles: &[DeviceProfile<'a>],
     router: &mut dyn Router,
     trace: bool,
-) -> (ServeReport, Option<RunTrace>) {
+) -> RunOutcome {
     let n = scheds.len();
     assert!(n >= 1, "at least one device");
     assert_eq!(n, profiles.len(), "one profile per scheduler slice");
@@ -865,7 +903,7 @@ pub(crate) fn drive<'a>(
         "driver exited with undone work"
     );
     let devs = fleet.slots.into_iter().map(|s| s.dev).collect();
-    merge_fleet(workload, devs, fleet.route_log, name, trace)
+    merge_fleet(workload, devs, fleet.route_log, fleet.work, name, trace)
 }
 
 /// Display name of a fleet run's report.
@@ -912,17 +950,18 @@ fn fleet_peak_concurrency(logs: &[&[(f64, i32)]]) -> usize {
 
 /// Merges drained per-device simulations into the fleet [`ServeReport`]
 /// (and, when tracing, the [`RunTrace`]) — the one place a report is
-/// built. Every aggregate is either accumulated in device index order,
-/// computed by an order-independent sweep, or sorted by an explicit total
-/// order, so identical per-device end states merge into bit-identical
-/// reports.
+/// built — and adds each device's work counts to the drive's `work`.
+/// Every aggregate is either accumulated in device index order, computed
+/// by an order-independent sweep, or sorted by an explicit total order,
+/// so identical per-device end states merge into bit-identical reports.
 fn merge_fleet(
     workload: &Workload,
     mut devs: Vec<DeviceSim<'_, '_>>,
     route_log: Vec<TraceEvent>,
+    mut work: WorkCounts,
     name: String,
     trace: bool,
-) -> (ServeReport, Option<RunTrace>) {
+) -> RunOutcome {
     let n = devs.len();
     let duration_cycles = devs.iter().map(|d| d.now).fold(0.0, f64::max);
     let mut report = ServeReport {
@@ -968,6 +1007,7 @@ fn merge_fleet(
         energy_pj += d.energy_pj;
         decode_invocations += d.decode_invocations;
         decode_streams += d.decode_streams;
+        work.absorb(&d.work);
         if let Some(log) = d.log.take() {
             device_logs.push(log);
         }
@@ -1011,7 +1051,11 @@ fn merge_fleet(
             events: merge_event_logs(logs),
         }
     });
-    (report, run_trace)
+    RunOutcome {
+        report,
+        trace: run_trace,
+        work,
+    }
 }
 
 #[cfg(test)]

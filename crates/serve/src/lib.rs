@@ -202,7 +202,9 @@ mod sim;
 
 pub use arrival::{ArrivalProcess, LoadGenerator, RequestClass, Workload};
 pub use cost::{StepCost, StepCostModel};
-pub use dispatch::{DeviceView, DispatchPolicy, PolicyRouter, Router, RunOutcome, RunSpec};
+pub use dispatch::{
+    DeviceView, DispatchPolicy, PolicyRouter, Router, RunOutcome, RunSpec, WorkCounts,
+};
 pub use pool::{request_kv_bytes, KvCachePool, PrefixResidency, Reservation};
 pub use preempt::{EvictionPolicy, HandoffLedger, PreemptConfig, SwapLedger, HOST_LINK_RATIO};
 pub use profile::{DeviceProfile, DeviceRole};

@@ -250,7 +250,9 @@ impl<'a> DeviceProfile<'a> {
                 });
             }
             if p.attention_keep.is_some_and(|k| !(k > 0.0 && k <= 1.0)) {
-                return Err(ServeConfigError::InvalidKeep { device });
+                return Err(ServeConfigError::InvalidKeep {
+                    device: Some(device),
+                });
             }
         }
         if !profiles.iter().any(|p| p.role.can_prefill()) {
@@ -345,7 +347,7 @@ mod tests {
             let fleet = [DeviceProfile::uniform().with_keep(keep)];
             assert_eq!(
                 DeviceProfile::validate_fleet(&fleet),
-                Err(ServeConfigError::InvalidKeep { device: 0 })
+                Err(ServeConfigError::InvalidKeep { device: Some(0) })
             );
         }
         // An infinite link is an instant transfer, and keep 1 is dense.

@@ -56,7 +56,7 @@ use mcbp_workloads::{Accelerator, Fleet, TraceContext};
 
 use crate::arrival::Workload;
 use crate::cost::{StepCost, StepCostModel};
-use crate::dispatch::{drive, DispatchPolicy};
+use crate::dispatch::{drive, DispatchPolicy, WorkCounts};
 use crate::pool::{request_kv_bytes, KvCachePool};
 use crate::preempt::{EvictionPolicy, HandoffLedger, PreemptConfig, SwapLedger};
 use crate::profile::{DeviceProfile, DeviceRole};
@@ -182,12 +182,13 @@ pub enum ServeConfigError {
         /// [`ServeConfig::preempt`].
         device: Option<usize>,
     },
-    /// A [`DeviceProfile`]'s attention-keep ratio is not in `(0, 1]`: it
-    /// scales every KV reservation on that device, and a NaN keep would
-    /// silently switch admission control off.
+    /// An attention-keep ratio is not in `(0, 1]`: it scales every KV
+    /// reservation, and a NaN keep would silently switch admission
+    /// control off (or panic the cost model mid-run).
     InvalidKeep {
-        /// Index of the offending profile within the fleet.
-        device: usize,
+        /// Index of the offending [`DeviceProfile`] within the fleet, or
+        /// `None` for the template given to [`ServeSim::try_new`].
+        device: Option<usize>,
     },
     /// A role-specialized fleet with no prefill-capable device: stage-1
     /// routing would have no candidate and every prompt would wedge.
@@ -287,10 +288,16 @@ impl std::fmt::Display for ServeConfigError {
                 f,
                 "host link bandwidth must be positive: transfers would divide by it"
             ),
-            ServeConfigError::InvalidKeep { device } => write!(
+            ServeConfigError::InvalidKeep {
+                device: Some(device),
+            } => write!(
                 f,
                 "device profile {device} has an attention keep outside (0, 1]: \
                  it would mis-scale every KV reservation"
+            ),
+            ServeConfigError::InvalidKeep { device: None } => write!(
+                f,
+                "attention keep must lie in (0, 1]: it would mis-scale every KV reservation"
             ),
             ServeConfigError::NoPrefillCapableDevice => write!(
                 f,
@@ -596,8 +603,9 @@ impl<'a> ServeSim<'a> {
     ///
     /// # Panics
     ///
-    /// Panics on an invalid configuration (see [`ServeConfig::validate`]);
-    /// use [`ServeSim::try_new`] to handle the error instead.
+    /// Panics on an invalid configuration (see [`ServeConfig::validate`])
+    /// or attention keep; use [`ServeSim::try_new`] to handle the error
+    /// instead.
     #[must_use]
     pub fn new(accel: &'a dyn Accelerator, template: TraceContext, cfg: ServeConfig) -> Self {
         match Self::try_new(accel, template, cfg) {
@@ -611,13 +619,19 @@ impl<'a> ServeSim<'a> {
     ///
     /// # Errors
     ///
-    /// Returns the first [`ServeConfigError`] the configuration violates.
+    /// Returns the first [`ServeConfigError`] the configuration violates,
+    /// else [`ServeConfigError::InvalidKeep`] when `template`'s attention
+    /// keep is outside `(0, 1]`.
     pub fn try_new(
         accel: &'a dyn Accelerator,
         template: TraceContext,
         cfg: ServeConfig,
     ) -> Result<Self, ServeConfigError> {
         cfg.validate()?;
+        let keep = template.attention_keep;
+        if !(keep > 0.0 && keep <= 1.0) {
+            return Err(ServeConfigError::InvalidKeep { device: None });
+        }
         let cost = StepCostModel::new(accel, template, cfg.ctx_bucket);
         Ok(ServeSim { cost, cfg })
     }
@@ -658,7 +672,7 @@ impl<'a> ServeSim<'a> {
             &mut router,
             false,
         )
-        .0
+        .report
     }
 
     /// Like [`ServeSim::run`], but records the run's full
@@ -686,7 +700,7 @@ impl<'a> ServeSim<'a> {
             panic!("invalid workload: {e}");
         }
         let mut router = DispatchPolicy::RoundRobin.router();
-        let (report, trace) = drive(
+        let out = drive(
             self,
             workload,
             &mut [scheduler],
@@ -694,7 +708,7 @@ impl<'a> ServeSim<'a> {
             &mut router,
             true,
         );
-        (report, trace.expect("tracing was requested"))
+        (out.report, out.trace.expect("tracing was requested"))
     }
 
     /// Checks a workload's internal consistency: every arrival is a
@@ -848,6 +862,10 @@ pub(crate) struct DeviceSim<'s, 'a> {
     /// Reached waiting requests in admission order: `(priority desc,
     /// arrival asc, id asc)`.
     ready: BTreeMap<(Reverse<Priority>, u64, RequestId), Waiting>,
+    /// Remaining tokens of every entry in `arriving` and `ready`, updated
+    /// where an entry enters or leaves them (moving from one map to the
+    /// other leaves it unchanged), so routing never walks the queue.
+    waiting_tokens: usize,
     /// Fresh requests among the waiting ones (the trace's queue depth).
     fresh_waiting: usize,
     active: Vec<InFlight>,
@@ -873,6 +891,8 @@ pub(crate) struct DeviceSim<'s, 'a> {
     /// Recorded event log of a traced run (`None` — the default — records
     /// nothing and keeps the untraced paths allocation-free).
     pub(crate) log: Option<Vec<TraceEvent>>,
+    /// This device's share of the run's [`WorkCounts`].
+    pub(crate) work: WorkCounts,
 }
 
 impl<'s, 'a> DeviceSim<'s, 'a> {
@@ -918,6 +938,7 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
             budget_utilization_sum: 0.0,
             arriving: BTreeMap::new(),
             ready: BTreeMap::new(),
+            waiting_tokens: 0,
             fresh_waiting: 0,
             active: Vec::new(),
             records: Vec::new(),
@@ -930,6 +951,7 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
             dispatched: 0,
             device: 0,
             log: None,
+            work: WorkCounts::default(),
         }
     }
 
@@ -962,18 +984,24 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
         self.dispatched += 1;
         self.fresh_waiting += 1;
         let key = (cycle_key(req.arrival_cycle), req.id);
-        self.arriving.insert(key, Waiting::Fresh(req));
+        let w = Waiting::Fresh(req);
+        self.waiting_tokens += w.remaining_tokens();
+        self.arriving.insert(key, w);
     }
 
     pub(crate) fn has_active(&self) -> bool {
         !self.active.is_empty()
     }
 
-    /// Whether this device still holds undone work of any kind.
+    /// Whether this device still holds undone work of any kind. With
+    /// both waiting maps empty the running waiting-token count must be
+    /// back at zero, so a missed subtraction shows here (a missed addition
+    /// underflows first).
     pub(crate) fn is_drained(&self) -> bool {
         self.active.is_empty()
             && self.arriving.is_empty()
             && self.ready.is_empty()
+            && self.waiting_tokens == 0
             && self.outbound.is_empty()
             && self.handoff_ledger.is_empty()
     }
@@ -1009,21 +1037,20 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
         let id = h.flight.req.id;
         self.handoff_ledger.handoff_out(id, h.bytes);
         let key = (cycle_key(arrival_cycle), id);
-        self.arriving.insert(key, Waiting::Handoff(h.flight));
+        let w = Waiting::Handoff(h.flight);
+        self.waiting_tokens += w.remaining_tokens();
+        self.arriving.insert(key, w);
     }
 
     /// Remaining work queued on this device, in tokens (the unprefilled
     /// and undecoded tokens of every waiting and admitted request) — the
-    /// join-shortest-queue dispatch metric.
-    pub(crate) fn queued_tokens(&self) -> u64 {
-        let waiting: usize = self
-            .arriving
-            .values()
-            .chain(self.ready.values())
-            .map(Waiting::remaining_tokens)
-            .sum();
+    /// join-shortest-queue dispatch metric. The waiting share is the
+    /// running count, so only the admitted requests, which the KV budget
+    /// bounds, are summed here.
+    pub(crate) fn queued_tokens(&mut self) -> u64 {
+        self.work.queue_entries += self.active.len() as u64;
         let active: usize = self.active.iter().map(InFlight::remaining_tokens).sum();
-        (waiting + active) as u64
+        (self.waiting_tokens + active) as u64
     }
 
     /// Runs admission to a fixpoint: reached waiting requests are admitted
@@ -1124,6 +1151,7 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
             let Some((&key, w)) = self.ready.first_key_value() else {
                 break;
             };
+            self.work.admission_candidates += 1;
             let (Reverse(prio), _, id) = key;
             let full_peak = request_kv_bytes(&model, w.req().final_context(), keep);
             // The resident prefix the admission reuses, as `(tokens,
@@ -1175,6 +1203,7 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
             };
             let Some((start, pbytes, keep_id)) = start else {
                 let (_, w) = self.ready.pop_first().expect("the first entry exists");
+                self.waiting_tokens -= w.remaining_tokens();
                 let f = match w {
                     Waiting::Fresh(req) => {
                         self.fresh_waiting -= 1;
@@ -1205,6 +1234,7 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
                 .ready
                 .remove(&key)
                 .expect("the candidate is still waiting");
+            self.waiting_tokens -= w.remaining_tokens();
             let resumed = !matches!(w, Waiting::Fresh(_));
             if let Some(pid) = keep_id {
                 self.pool.ref_prefix(pid);
@@ -1436,13 +1466,12 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
                 cycle_key(f.req.arrival_cycle),
                 victim_id,
             );
-            self.ready.insert(
-                key,
-                Waiting::Suspended {
-                    flight: f,
-                    swapped_bytes,
-                },
-            );
+            let w = Waiting::Suspended {
+                flight: f,
+                swapped_bytes,
+            };
+            self.waiting_tokens += w.remaining_tokens();
+            self.ready.insert(key, w);
             self.conc_log.push((self.now, -1));
             self.record(TraceEvent::Preempt {
                 device: self.device,
@@ -1500,6 +1529,7 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
                 priority: f.req.priority,
             })
             .collect();
+        self.work.sched_entries += (waiting.len() + decoding.len()) as u64;
         let view = SchedView {
             waiting_prefill: &waiting,
             decoding: &decoding,
@@ -2267,6 +2297,15 @@ mod tests {
                 }),
                 ServeConfigError::InvalidTensorParallel,
                 "{fleet:?}"
+            );
+        }
+        // The simulator's own keep must lie in (0, 1], as a profile's
+        // does: NaN used to panic mid-run, and the rest ran clamped.
+        for keep in [0.0, -0.5, 1.5, f64::NAN, f64::INFINITY] {
+            assert_eq!(
+                ServeSim::try_new(&accel, template(keep), ServeConfig::default()).err(),
+                Some(ServeConfigError::InvalidKeep { device: None }),
+                "keep {keep}"
             );
         }
         // The boundary case chunk == budget is legal (no piggyback slack,

@@ -1,10 +1,10 @@
 //! Properties of the fleet drive over arbitrary arrival traces, fleet
 //! widths, dispatch policies, schedulers, pool pressure (preemption),
 //! shared prefixes, device roles, and open- versus closed-loop load: a
-//! traced run's `ServeReport` is **bit-exact** with an untraced run of
-//! the same fleet (recording only observes), every request is accounted
-//! for, and each fleet lane of the report is the device-order fold of its
-//! per-device lanes.
+//! traced run's `ServeReport` and `WorkCounts` are **bit-exact** with an
+//! untraced run of the same fleet (recording only observes), every
+//! request is accounted for, and each fleet lane of the report is the
+//! device-order fold of its per-device lanes.
 
 use std::sync::OnceLock;
 
@@ -265,6 +265,11 @@ proptest! {
         prop_assert_eq!(
             &traced.report, &untraced.report,
             "recording changed the report ({:?}, {} devices)",
+            policy, devices
+        );
+        prop_assert_eq!(
+            traced.work, untraced.work,
+            "recording changed the work counts ({:?}, {} devices)",
             policy, devices
         );
         prop_assert!(traced.trace.is_some() && untraced.trace.is_none());
