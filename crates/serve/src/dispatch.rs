@@ -47,11 +47,17 @@
 //! # The drive loop
 //!
 //! Devices advance asynchronously on their own clocks. The driver
-//! repeatedly (1) runs admission on every device, (2) dispatches every
+//! repeatedly (1) runs admission on the devices whose queue, pool or
+//! clock changed since their last admission, (2) dispatches every
 //! arrival that is due — i.e. not later than the earliest clock among
 //! busy devices (with all devices idle the next arrival dispatches
 //! immediately and the target device fast-forwards to it) — and (3)
 //! executes one step on the busy device with the earliest clock.
+//! Admission runs to a fixpoint, and only a step, an enqueue or a routed
+//! handoff can move a device off it, so each of those marks its device
+//! for the next admission and an unmarked device costs one flag test:
+//! a step re-examines the blocked queue head of its own device, not of
+//! every device in the fleet.
 //! Closed-loop workloads release their next request through the global
 //! dispatcher whenever any device completes (or drops) one, so the
 //! in-flight population is fleet-wide.
@@ -757,8 +763,9 @@ impl<'s, 'a, 'x> Drive<'s, 'a, 'x> {
         }
     }
 
-    /// Admission on every device, stage-2 routing of finished prefills,
-    /// and dispatch of every due arrival, repeated until nothing changes.
+    /// Admission on every changed device, stage-2 routing of finished
+    /// prefills, and dispatch of every due arrival, repeated until nothing
+    /// changes.
     /// An arrival is due at or before the earliest busy device clock;
     /// with the whole fleet idle the next arrival is due immediately (its
     /// device fast-forwards to it).

@@ -288,6 +288,27 @@ impl KvCachePool {
         self.peak_resident_bytes = self.peak_resident_bytes.max(self.resident_bytes);
     }
 
+    /// Grows request `id`'s residency to `bytes`, capped at its
+    /// reservation; a residency already there stays as it is. This is a
+    /// step's per-member update (a prefill chunk or a decoded token
+    /// extends the request's KV) in one ledger lookup.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` holds no reservation.
+    pub(crate) fn grow_resident_to(&mut self, id: RequestId, bytes: u64) {
+        let entry = self
+            .ledger
+            .get_mut(&id)
+            .expect("grew a request with no reservation");
+        let grow = bytes
+            .min(entry.reserved_bytes)
+            .saturating_sub(entry.resident_bytes);
+        entry.resident_bytes += grow;
+        self.resident_bytes += grow;
+        self.peak_resident_bytes = self.peak_resident_bytes.max(self.resident_bytes);
+    }
+
     /// Advances the occupancy clock to `now_cycle`, integrating residency
     /// for the mean-occupancy statistic.
     pub fn advance_clock(&mut self, now_cycle: f64) {

@@ -300,14 +300,12 @@ impl Scheduler for ContinuousBatchScheduler {
                     width,
                     budget,
                 );
-                let decode = rotate_take(&mut self.rotate, view.decoding, decode_take);
-                return StepPlan::mixed(prefill, decode);
+                let decode = rotate_take(&mut self.rotate, view.decoding.iter(), decode_take);
+                return StepPlan::mixed(prefill, decode.collect());
             }
-            return StepPlan::decode(rotate_take(
-                &mut self.rotate,
-                view.decoding,
-                width.min(budget),
-            ));
+            return StepPlan::decode(
+                rotate_take(&mut self.rotate, view.decoding.iter(), width.min(budget)).collect(),
+            );
         }
         let wants_prefill = !view.waiting_prefill.is_empty() && view.decoding.len() < width;
         // Unbudgeted: alternate prefill chunks with decode steps when both
@@ -333,7 +331,7 @@ impl Scheduler for ContinuousBatchScheduler {
         if view.decoding.is_empty() {
             return StepPlan::idle();
         }
-        StepPlan::decode(rotate_take(&mut self.rotate, view.decoding, width))
+        StepPlan::decode(rotate_take(&mut self.rotate, view.decoding.iter(), width).collect())
     }
 }
 
@@ -382,16 +380,24 @@ fn budgeted_composition(
 /// (identity when the list fits entirely), advancing the rotation counter.
 /// The rotating window is how both coalescing schedulers round-robin an
 /// oversubscribed pool fairly instead of starving the tail of the
-/// admission order.
-fn rotate_take(rotate: &mut usize, list: &[SchedEntry], take: usize) -> Vec<RequestId> {
-    let n = list.len();
-    if n == 0 || take == 0 {
-        return Vec::new();
-    }
+/// admission order. `list` is walked in place (a class filter over a view
+/// needs no copy): the window is the run from the offset to the end,
+/// then the wrapped run from the start.
+fn rotate_take<'e>(
+    rotate: &mut usize,
+    list: impl Iterator<Item = &'e SchedEntry> + Clone + 'e,
+    take: usize,
+) -> impl Iterator<Item = RequestId> + 'e {
+    let n = list.clone().count();
     let take = take.min(n);
     let start = if n > take { *rotate % n } else { 0 };
     *rotate = rotate.wrapping_add(take);
-    (0..take).map(|i| list[(start + i) % n].id).collect()
+    let wrapped = (start + take).saturating_sub(n);
+    list.clone()
+        .skip(start)
+        .take(take)
+        .chain(list.take(wrapped))
+        .map(|e| e.id)
 }
 
 /// Priority-aware continuous batching: the same iteration-level coalescing
@@ -424,19 +430,19 @@ impl PriorityScheduler {
     /// Fills up to `take` decode slots interactive-first, padding with
     /// batch-class streams; each class rotates round-robin.
     fn take_decodes(&mut self, decoding: &[SchedEntry], take: usize) -> Vec<RequestId> {
-        let interactive: Vec<SchedEntry> = decoding
-            .iter()
-            .filter(|e| e.priority == Priority::Interactive)
-            .copied()
-            .collect();
-        let background: Vec<SchedEntry> = decoding
-            .iter()
-            .filter(|e| e.priority == Priority::Batch)
-            .copied()
-            .collect();
-        let mut ids = rotate_take(&mut self.rotate_interactive, &interactive, take);
+        let class = |p: Priority| decoding.iter().filter(move |e| e.priority == p);
+        let mut ids = Vec::with_capacity(take.min(decoding.len()));
+        ids.extend(rotate_take(
+            &mut self.rotate_interactive,
+            class(Priority::Interactive),
+            take,
+        ));
         let spare = take - ids.len();
-        ids.extend(rotate_take(&mut self.rotate_batch, &background, spare));
+        ids.extend(rotate_take(
+            &mut self.rotate_batch,
+            class(Priority::Batch),
+            spare,
+        ));
         ids
     }
 }

@@ -238,6 +238,12 @@ pub enum ServeConfigError {
         /// The offending request.
         request: RequestId,
     },
+    /// Two requests share one id: the KV pool and every ledger key their
+    /// bytes by request id, and the report would hold two records for it.
+    DuplicateRequestId {
+        /// The repeated id.
+        request: RequestId,
+    },
 }
 
 impl std::fmt::Display for ServeConfigError {
@@ -345,6 +351,12 @@ impl std::fmt::Display for ServeConfigError {
                 "request {request} has no prompt and no decode token: \
                  no step could ever serve it"
             ),
+            ServeConfigError::DuplicateRequestId { request } => {
+                write!(
+                    f,
+                    "request id {request} appears more than once in the workload"
+                )
+            }
         }
     }
 }
@@ -444,6 +456,12 @@ impl InFlight {
 
     fn prefilled(&self) -> bool {
         self.prefill_done >= self.prefill_target
+    }
+
+    /// Whether the request belongs in the scheduler's decode view:
+    /// prefilled, with tokens still to generate.
+    fn decodes(&self) -> bool {
+        self.prefilled() && self.tokens < self.req.decode_len
     }
 
     /// Tokens still to process: the unprefilled part of the prefill
@@ -717,7 +735,7 @@ impl<'a> ServeSim<'a> {
     /// every request has at least one prompt or decode token; every
     /// declared [`crate::SharedPrefix`] must fit inside its request's
     /// prompt, and one [`PrefixId`] must always be declared with one
-    /// length (ids are content-addressed).
+    /// length (ids are content-addressed); no two requests share an id.
     ///
     /// # Errors
     ///
@@ -727,11 +745,19 @@ impl<'a> ServeSim<'a> {
     /// [`ServeConfigError::PrefixExceedsPrompt`] or
     /// [`ServeConfigError::PrefixLengthConflict`] for the first
     /// offending request, else
-    /// [`ServeConfigError::ClosedLoopNeverStarts`].
+    /// [`ServeConfigError::DuplicateRequestId`] for the least repeated id,
+    /// else [`ServeConfigError::ClosedLoopNeverStarts`].
     pub fn validate_workload(workload: &Workload) -> Result<(), ServeConfigError> {
         let mut declared: std::collections::BTreeMap<PrefixId, usize> =
             std::collections::BTreeMap::new();
+        // Generated workloads number their requests in order, so strictly
+        // increasing ids are unique without a copy; only other orders are
+        // sorted below.
+        let mut increasing = true;
+        let mut prev_id = None;
         for r in &workload.requests {
+            increasing &= prev_id.is_none_or(|p| p < r.id);
+            prev_id = Some(r.id);
             let a = r.arrival_cycle;
             if a.is_nan() || a < 0.0 {
                 return Err(ServeConfigError::InvalidArrival { request: r.id });
@@ -760,6 +786,13 @@ impl<'a> ServeSim<'a> {
                     }
                     _ => {}
                 }
+            }
+        }
+        if !increasing {
+            let mut ids: Vec<RequestId> = workload.requests.iter().map(|r| r.id).collect();
+            ids.sort_unstable();
+            if let Some(w) = ids.windows(2).find(|w| w[0] == w[1]) {
+                return Err(ServeConfigError::DuplicateRequestId { request: w[0] });
             }
         }
         let starts = workload
@@ -893,6 +926,18 @@ pub(crate) struct DeviceSim<'s, 'a> {
     pub(crate) log: Option<Vec<TraceEvent>>,
     /// This device's share of the run's [`WorkCounts`].
     pub(crate) work: WorkCounts,
+    /// Whether admission could change anything (see
+    /// [`DeviceSim::admit`]).
+    admit_due: bool,
+    /// A step's buffers, cleared and refilled every step so that, once
+    /// grown, a step allocates nothing but the scheduler's plan: the
+    /// scheduler's two views, the plan's members as `active` indices
+    /// (prefill members first), and each prefill member's chunk as
+    /// `(index, cursor, chunk end, replay tokens)`.
+    prefill_view: Vec<SchedEntry>,
+    decode_view: Vec<SchedEntry>,
+    members: Vec<usize>,
+    spans: Vec<(usize, usize, usize, usize)>,
 }
 
 impl<'s, 'a> DeviceSim<'s, 'a> {
@@ -952,6 +997,11 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
             device: 0,
             log: None,
             work: WorkCounts::default(),
+            admit_due: false,
+            prefill_view: Vec::new(),
+            decode_view: Vec::new(),
+            members: Vec::new(),
+            spans: Vec::new(),
         }
     }
 
@@ -987,6 +1037,7 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
         let w = Waiting::Fresh(req);
         self.waiting_tokens += w.remaining_tokens();
         self.arriving.insert(key, w);
+        self.admit_due = true;
     }
 
     pub(crate) fn has_active(&self) -> bool {
@@ -1040,6 +1091,7 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
         let w = Waiting::Handoff(h.flight);
         self.waiting_tokens += w.remaining_tokens();
         self.arriving.insert(key, w);
+        self.admit_due = true;
     }
 
     /// Remaining work queued on this device, in tokens (the unprefilled
@@ -1058,7 +1110,16 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
     /// fast-forwards its clock to the next arrival.
     /// Returns the number of requests dropped (peak residency can never
     /// fit) — the driver releases one closed-loop slot per drop.
+    ///
+    /// A run leaves a fixpoint that a second run would find unchanged, so
+    /// admission runs only while `admit_due` is set and clears it. Only
+    /// three things can change what it would do, and each sets the flag:
+    /// a step (it advances the clock and frees or grows pool bytes), an
+    /// enqueue, and a routed handoff. Otherwise this returns 0 at once.
     pub(crate) fn admit(&mut self) -> usize {
+        if !std::mem::take(&mut self.admit_due) {
+            return 0;
+        }
         let mut drops = 0;
         loop {
             self.admit_pass(&mut drops);
@@ -1502,38 +1563,34 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
     /// [`ServeConfig::step_token_budget`] allows (contract violations —
     /// failing loudly beats silently losing in-flight requests).
     pub(crate) fn step(&mut self, scheduler: &mut dyn Scheduler) -> usize {
+        self.admit_due = true;
         let step_start = self.now;
         let keep = self.cost().template().attention_keep;
         let model = self.cost().template().model.clone();
-        let waiting: Vec<SchedEntry> = self
-            .active
-            .iter()
-            .filter(|f| !f.prefilled())
-            .map(|f| SchedEntry {
+        let max_batch = self.sim.cfg.max_batch;
+        self.prefill_view.clear();
+        self.decode_view.clear();
+        for f in &self.active {
+            let (view, len, done) = if !f.prefilled() {
+                (&mut self.prefill_view, f.prefill_target, f.prefill_done)
+            } else if f.decodes() {
+                (&mut self.decode_view, f.context(), f.context())
+            } else {
+                continue;
+            };
+            view.push(SchedEntry {
                 id: f.req.id,
-                len: f.prefill_target,
-                done: f.prefill_done,
+                len,
+                done,
                 generated: f.tokens,
                 priority: f.req.priority,
-            })
-            .collect();
-        let decoding: Vec<SchedEntry> = self
-            .active
-            .iter()
-            .filter(|f| f.prefilled() && f.tokens < f.req.decode_len)
-            .map(|f| SchedEntry {
-                id: f.req.id,
-                len: f.context(),
-                done: f.context(),
-                generated: f.tokens,
-                priority: f.req.priority,
-            })
-            .collect();
-        self.work.sched_entries += (waiting.len() + decoding.len()) as u64;
+            });
+        }
+        self.work.sched_entries += (self.prefill_view.len() + self.decode_view.len()) as u64;
         let view = SchedView {
-            waiting_prefill: &waiting,
-            decoding: &decoding,
-            max_batch: self.sim.cfg.max_batch,
+            waiting_prefill: &self.prefill_view,
+            decoding: &self.decode_view,
+            max_batch,
             prefill_chunk: self.sim.cfg.prefill_chunk,
             step_token_budget: self.sim.cfg.step_token_budget,
         };
@@ -1542,38 +1599,49 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
             !plan.is_idle(),
             "scheduler `{}` returned an idle plan with {} prompt(s) waiting and {} stream(s) decoding",
             scheduler.name(),
-            waiting.len(),
-            decoding.len()
+            self.prefill_view.len(),
+            self.decode_view.len()
         );
         // Prefill and decode members share the coalescing width.
-        let prefill_ids = clamp_ids(&plan.prefill, &waiting, self.sim.cfg.max_batch);
-        let decode_ids = clamp_ids(
+        self.members.clear();
+        let active = &self.active;
+        resolve_members(
+            active,
+            &plan.prefill,
+            |f| !f.prefilled(),
+            max_batch,
+            &mut self.members,
+        );
+        let prefills = self.members.len();
+        resolve_members(
+            active,
             &plan.decode,
-            &decoding,
-            self.sim.cfg.max_batch - prefill_ids.len(),
+            InFlight::decodes,
+            max_batch,
+            &mut self.members,
         );
         assert!(
-            !(prefill_ids.is_empty() && decode_ids.is_empty()),
+            !self.members.is_empty(),
             "scheduler `{}` plan selected no live request",
             scheduler.name()
         );
+        let (prefill_members, decode_members) = self.members.split_at(prefills);
 
         let chunk = self.sim.cfg.prefill_chunk.unwrap_or(usize::MAX);
         // Per-request chunk spans. The schedulers batch matching
         // (target, cursor) pairs so spans are uniform; a custom
         // scheduler mixing cursors is costed by its heaviest span.
-        let spans: Vec<(RequestId, usize, usize, usize)> = prefill_ids
-            .iter()
-            .map(|id| {
-                let f = lookup(&self.active, *id);
-                let upto = f.prefill_target.min(f.prefill_done.saturating_add(chunk));
-                (*id, f.prefill_done, upto, f.replay_tokens)
-            })
-            .collect();
+        self.spans.clear();
+        self.spans.extend(prefill_members.iter().map(|&i| {
+            let f = &self.active[i];
+            let upto = f.prefill_target.min(f.prefill_done.saturating_add(chunk));
+            (i, f.prefill_done, upto, f.replay_tokens)
+        }));
+        let taken: usize = self.spans.iter().map(|&(_, d, u, _)| u - d).sum();
         // Budget contract: the executed step never exceeds the shared
         // token budget (chunk tokens + one per decode member).
         if let Some(budget) = self.sim.cfg.step_token_budget {
-            let tokens = spans.iter().map(|&(_, d, u, _)| u - d).sum::<usize>() + decode_ids.len();
+            let tokens = taken + decode_members.len();
             assert!(
                 tokens <= budget,
                 "scheduler `{}` scheduled {tokens} tokens over the {budget}-token step budget",
@@ -1583,30 +1651,32 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
         }
 
         // ---- cost the invocation (chunk + piggybacked decodes) ----
-        let chunk_cost = (!spans.is_empty()).then(|| {
-            let (_, done, upto, _) = spans
+        let chunk_cost = (!self.spans.is_empty()).then(|| {
+            let (_, done, upto, _) = self
+                .spans
                 .iter()
                 .copied()
                 .max_by_key(|&(_, done, upto, _)| (upto - done, upto))
                 .expect("non-empty");
             self.sim
-                .fleet_scaled(self.cost().prefill_chunk_cost(done, upto, spans.len()))
+                .fleet_scaled(self.cost().prefill_chunk_cost(done, upto, self.spans.len()))
         });
-        let decode_cost = (!decode_ids.is_empty()).then(|| {
-            let mean_ctx = (decode_ids
+        let decode_cost = (!decode_members.is_empty()).then(|| {
+            let mean_ctx = (decode_members
                 .iter()
-                .map(|id| lookup(&self.active, *id).context())
+                .map(|&i| self.active[i].context())
                 .sum::<usize>() as f64
-                / decode_ids.len() as f64)
+                / decode_members.len() as f64)
                 .round() as usize;
             // Piggybacked decodes ride the chunk's weight stream and pay
             // only their incremental cost; a pure decode step pays the
             // full invocation cost including the stream.
-            let raw = if spans.is_empty() {
-                self.cost().decode_cost(mean_ctx.max(1), decode_ids.len())
+            let raw = if self.spans.is_empty() {
+                self.cost()
+                    .decode_cost(mean_ctx.max(1), decode_members.len())
             } else {
                 self.cost()
-                    .piggyback_decode_cost(mean_ctx.max(1), decode_ids.len())
+                    .piggyback_decode_cost(mean_ctx.max(1), decode_members.len())
             };
             self.sim.fleet_scaled(raw)
         });
@@ -1634,14 +1704,15 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
             // piggybacked decodes) to recompute overhead
             // (drop-and-recompute's resume bill): the tokens of each span
             // overlapping its replay region.
-            let taken: usize = spans.iter().map(|&(_, d, u, _)| u - d).sum();
-            let replayed: usize = spans
+            let replayed: usize = self
+                .spans
                 .iter()
                 .map(|&(_, d, u, rep)| u.min(rep).saturating_sub(d))
                 .sum();
             self.recompute_cycles += cost.cycles * replayed as f64 / taken as f64;
-            for &(id, _, upto, _) in &spans {
-                let f = lookup_mut(&mut self.active, id);
+            for &(i, _, upto, _) in &self.spans {
+                let f = &mut self.active[i];
+                let id = f.req.id;
                 f.prefill_done = upto;
                 if f.prefilled() && f.req.decode_len == 0 && f.tokens == 0 {
                     f.first_token_cycle = self.now; // prompt-only request
@@ -1649,22 +1720,13 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
                 // Residency grows per chunk: the KV bytes of the
                 // prefilled prefix — minus any share the shared-prefix
                 // ledger already holds — never past the peak reservation.
-                let prefix_bytes = f.prefix_bytes;
-                let reserved = self
-                    .pool
-                    .reservation(id)
-                    .expect("prefilling request holds a reservation");
-                let target = request_kv_bytes(&model, upto, keep)
-                    .saturating_sub(prefix_bytes)
-                    .min(reserved.reserved_bytes);
-                self.pool
-                    .grow_resident(id, target.saturating_sub(reserved.resident_bytes));
+                let bytes = request_kv_bytes(&model, upto, keep).saturating_sub(f.prefix_bytes);
+                self.pool.grow_resident_to(id, bytes);
                 // Crossing the declared prefix boundary materializes the
                 // shared prefix: its KV bytes move out of this request's
                 // reservation into the pool's refcounted prefix ledger
                 // (or, if another request got there first, the duplicate
                 // copy is shed back to the pool).
-                let f = lookup_mut(&mut self.active, id);
                 if let Some(p) = f.req.prefix {
                     if p.tokens > 0 && f.prefix_bytes == 0 && upto >= p.tokens {
                         let bytes = request_kv_bytes(&model, p.tokens, keep);
@@ -1675,26 +1737,20 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
         }
 
         // ---- apply the decode members' token accounting ----
-        if !decode_ids.is_empty() {
+        let decodes = decode_members.len();
+        if decodes > 0 {
             self.decode_invocations += 1;
-            self.decode_streams += decode_ids.len() as u64;
-            for id in &decode_ids {
-                let f = lookup_mut(&mut self.active, *id);
+            self.decode_streams += decodes as u64;
+            for &i in decode_members {
+                let f = &mut self.active[i];
+                let id = f.req.id;
                 f.tokens += 1;
                 if f.tokens == 1 {
                     f.first_token_cycle = self.now;
                 }
-                let context = f.context();
-                let prefix_bytes = f.prefix_bytes;
-                let reserved = self
-                    .pool
-                    .reservation(*id)
-                    .expect("decoding request holds a reservation");
-                let target = request_kv_bytes(&model, context, keep)
-                    .saturating_sub(prefix_bytes)
-                    .min(reserved.reserved_bytes);
-                self.pool
-                    .grow_resident(*id, target.saturating_sub(reserved.resident_bytes));
+                let bytes =
+                    request_kv_bytes(&model, f.context(), keep).saturating_sub(f.prefix_bytes);
+                self.pool.grow_resident_to(id, bytes);
             }
         }
 
@@ -1722,14 +1778,13 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
         // Step event below then reflects the post-handoff device state.)
         self.extract_finished_prefills();
         if self.log.is_some() {
-            let prefill_tokens: usize = spans.iter().map(|&(_, d, u, _)| u - d).sum();
             self.record(TraceEvent::Step {
                 device: self.device,
                 start_cycle: step_start,
                 end_cycle: self.now,
-                prefill_streams: spans.len() as u32,
-                decode_streams: decode_ids.len() as u32,
-                prefill_tokens: prefill_tokens as u32,
+                prefill_streams: self.spans.len() as u32,
+                decode_streams: decodes as u32,
+                prefill_tokens: taken as u32,
                 queue_depth: self.fresh_waiting as u32,
                 active_streams: self.active.len() as u32,
                 pool_reserved_bytes: self.pool.reserved_bytes(),
@@ -1798,35 +1853,36 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
     }
 }
 
-/// Restricts a plan to ids actually present in the view, preserving plan
-/// order, with duplicates removed, capped at the coalescing width. A
-/// custom scheduler naming the same stream twice must advance it once,
-/// not twice.
-fn clamp_ids(ids: &[RequestId], view: &[SchedEntry], max_batch: usize) -> Vec<RequestId> {
-    let mut seen = Vec::with_capacity(ids.len().min(max_batch));
+/// Appends to `members` the `active` index of each planned id whose
+/// request `in_phase` (the predicate that built the id's view) accepts,
+/// in plan order, until `members` holds `max_batch`. An id outside the
+/// view is ignored, and one already in `members` is skipped: a custom
+/// scheduler naming the same stream twice advances it once, not twice.
+/// The two phases' predicates are disjoint, so one list serves both.
+fn resolve_members(
+    active: &[InFlight],
+    ids: &[RequestId],
+    in_phase: fn(&InFlight) -> bool,
+    max_batch: usize,
+    members: &mut Vec<usize>,
+) {
+    // Plans list their ids mostly in view order, which is `active`
+    // order, so each search starts past the previous hit and wraps.
+    let mut from = 0;
     for id in ids {
-        if seen.len() == max_batch {
+        if members.len() == max_batch {
             break;
         }
-        if !seen.contains(id) && view.iter().any(|e| e.id == *id) {
-            seen.push(*id);
+        let hit = (from..active.len())
+            .chain(0..from)
+            .find(|&i| active[i].req.id == *id && in_phase(&active[i]));
+        if let Some(i) = hit {
+            from = i + 1;
+            if !members.contains(&i) {
+                members.push(i);
+            }
         }
     }
-    seen
-}
-
-fn lookup(active: &[InFlight], id: RequestId) -> &InFlight {
-    active
-        .iter()
-        .find(|f| f.req.id == id)
-        .expect("scheduler referenced unknown request")
-}
-
-fn lookup_mut(active: &mut [InFlight], id: RequestId) -> &mut InFlight {
-    active
-        .iter_mut()
-        .find(|f| f.req.id == id)
-        .expect("scheduler referenced unknown request")
 }
 
 #[cfg(test)]

@@ -339,8 +339,27 @@ fn fleet_and_workload_validation_returns_typed_errors() {
             .collect(),
         closed_loop: None,
     };
+    // Request ids key the pool and every ledger: a repeated id is
+    // rejected whether its two copies would overlap on the device (the
+    // second arrives while the first is in flight) or not (it arrives a
+    // simulated thousand seconds later).
+    let repeated = |second_arrival: f64| Workload {
+        requests: vec![
+            Request::from_task(0, &Task::cola().with_decode(4), 0.0),
+            Request::from_task(0, &Task::cola().with_decode(4), second_arrival),
+        ],
+        closed_loop: None,
+    };
     let single = [DeviceProfile::uniform()];
     for (w, expected) in [
+        (
+            repeated(1.0),
+            ServeConfigError::DuplicateRequestId { request: 0 },
+        ),
+        (
+            repeated(1e12),
+            ServeConfigError::DuplicateRequestId { request: 0 },
+        ),
         (
             arriving([0.0, f64::NAN, 2.0], None),
             ServeConfigError::InvalidArrival { request: 1 },

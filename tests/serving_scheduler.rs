@@ -5,7 +5,8 @@
 
 use mcbp::prelude::*;
 use mcbp::serve::{
-    request_kv_bytes, ArrivalProcess, LoadGenerator, RequestState, ServeConfig, Workload,
+    request_kv_bytes, ArrivalProcess, LoadGenerator, RequestId, RequestState, SchedEntry,
+    SchedView, Scheduler, ServeConfig, StepPlan, Workload,
 };
 
 fn engine() -> Engine {
@@ -149,6 +150,15 @@ fn identical_seeds_are_bit_identical() {
 /// conservation and determinism guarantees must hold identically when
 /// victims are mid-flight inside mixed steps.
 fn preemption_heavy(policy: EvictionPolicy, step_budget: Option<usize>) -> ServeReport {
+    preemption_heavy_under(policy, step_budget, &mut PriorityScheduler::new())
+}
+
+/// [`preemption_heavy`] planned by `scheduler`.
+fn preemption_heavy_under(
+    policy: EvictionPolicy,
+    step_budget: Option<usize>,
+    scheduler: &mut dyn Scheduler,
+) -> ServeReport {
     let engine = engine();
     let model = LlmConfig::opt1b3();
     let keep = 0.3;
@@ -184,9 +194,7 @@ fn preemption_heavy(policy: EvictionPolicy, step_budget: Option<usize>) -> Serve
         RequestClass::batch(),
     ])
     .generate();
-    engine
-        .serve_sim(keep, cfg)
-        .run(&load, &mut PriorityScheduler::new())
+    engine.serve_sim(keep, cfg).run(&load, scheduler)
 }
 
 /// The same `ServeConfig` + seed run twice yields a byte-identical
@@ -273,6 +281,60 @@ fn drop_recompute_victims_complete_with_exact_token_counts() {
         assert_eq!(swap.preempt.swap_in_bytes, swap.preempt.swap_out_bytes);
         for rec in &swap.records {
             assert_eq!(rec.tokens, rec.request.decode_len);
+        }
+    }
+}
+
+/// Wraps a scheduler and pads each id of its plans with ids the
+/// simulator must ignore: before it, an id from the other phase's view
+/// and an id no request has (`u64::MAX`); after it, a repeat.
+struct Padded(Box<dyn Scheduler>);
+
+impl Scheduler for Padded {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn plan(&mut self, view: &SchedView<'_>) -> StepPlan {
+        let plan = self.0.plan(view);
+        let pad = |ids: &[RequestId], other_phase: &[SchedEntry]| {
+            let mut padded = Vec::new();
+            for (k, &id) in ids.iter().enumerate() {
+                padded.extend(other_phase.get(k).map(|e| e.id));
+                padded.extend([u64::MAX, id, id]);
+            }
+            padded
+        };
+        StepPlan::mixed(
+            pad(&plan.prefill, view.decoding),
+            pad(&plan.decode, view.waiting_prefill),
+        )
+    }
+}
+
+/// The plan-clamping contract: the simulator advances each planned
+/// request of the planned phase once, ignores every other id, and counts
+/// only members toward the coalescing width. Padding every plan with
+/// ignored ids leaves a preemption-heavy run's report bit-identical,
+/// under both coalescing schedulers, with and without mixed steps.
+#[test]
+fn ids_outside_the_phase_and_repeats_leave_the_run_bit_identical() {
+    let schedulers: [fn() -> Box<dyn Scheduler>; 2] = [
+        || Box::new(ContinuousBatchScheduler::new()),
+        || Box::new(PriorityScheduler::new()),
+    ];
+    for make in schedulers {
+        for step_budget in [None, Some(768)] {
+            let policy = EvictionPolicy::DropRecompute;
+            let plain = preemption_heavy_under(policy, step_budget, &mut *make());
+            let padded = preemption_heavy_under(policy, step_budget, &mut Padded(make()));
+            let case = format!("{} / {step_budget:?}", plain.scheduler);
+            assert!(plain.preempt.preemptions > 0, "{case}: must preempt");
+            // Debug prints every float to its exact bits (`-0.0` too).
+            assert!(
+                format!("{padded:?}") == format!("{plain:?}"),
+                "{case}: padded plans changed the report"
+            );
         }
     }
 }
